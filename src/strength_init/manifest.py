@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import load_named_dataset, split
+from .initializers import METHODS
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import compare
-from .training import MlpArch, RunMetrics, TrainConfig, train
+from .training import MlpArch, RunMetrics, TrainConfig, parse_rewire_mode, train
 
 __all__ = ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir", "resolve_data_dir"]
 
@@ -53,6 +54,13 @@ class ExperimentManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "arch", tuple(int(s) for s in self.arch))
+        # fail at load time, not after the dataset is read or inside a worker
+        MlpArch(self.arch)
+        if self.init_method not in METHODS:
+            raise ValueError(f"unknown init method {self.init_method!r}, expected one of {METHODS}")
+        parse_rewire_mode(self.baseline_rewire)
+        if self.treatment_rewire is not None:
+            parse_rewire_mode(self.treatment_rewire)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.jobs < 1:
@@ -180,17 +188,6 @@ def _write_arm_summary(path: Path, rewire: str, summaries: list[dict]) -> None:
         }
     doc = {"rewire": rewire, "repetitions": len(summaries), "aggregate": agg, "runs": summaries}
     path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def run_population(manifest: ExperimentManifest, rewire: str, out_dir) -> list[dict]:
-    """Run a single arm of a manifest straight into `out_dir`.
-
-    Writes rep_*.jsonl files, summary.json, and the CSV curve bundles,
-    and returns the per-repetition summary records. Used by the train
-    subcommand, where there is only one population and no comparison.
-    """
-    data = _prepare_data(manifest) if manifest.jobs == 1 else None
-    return _run_population(manifest, rewire, Path(out_dir), data)
 
 
 def run_manifest(manifest: ExperimentManifest) -> int:

@@ -18,6 +18,7 @@ import/export is provided for interop, limited to 10**6 entries.
 from __future__ import annotations
 
 import io
+import os
 import re
 
 import numpy as np
@@ -86,13 +87,13 @@ def save_matrix(m, path) -> None:
     header = f"WMAT1 rows={rows} cols={cols} dtype=f64 order=row-major endian=little\n"
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+        f.write(_bytes_view(arr.astype("<f8", copy=False)))
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a WMAT file back into a float64 matrix.
 
-    Raises HeaderError, PayloadError, or NonFiniteError depending on what
+    The payload is read straight into the returned array. Raises HeaderError, PayloadError, or NonFiniteError depending on what
     is wrong with the file.
     """
     with open(path, "rb") as f:
@@ -103,18 +104,29 @@ def load_matrix(path) -> np.ndarray:
         rows, cols = int(match.group(1)), int(match.group(2))
         if rows < 1 or cols < 1:
             raise HeaderError(f"{path}: header declares empty shape ({rows}, {cols})")
-        payload = f.read()
-    expected = rows * cols * 8
-    if len(payload) != expected:
-        raise PayloadError(
-            f"{path}: expected {expected} payload bytes for shape "
-            f"({rows}, {cols}), found {len(payload)}"
-        )
-    arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(rows, cols)
+        expected = rows * cols * 8
+        # compare with the file size before allocating, so a corrupt header
+        # cannot ask for an arbitrarily large array
+        found = os.fstat(f.fileno()).st_size - f.tell()
+        if found == expected:
+            arr = np.empty((rows, cols), dtype="<f8")
+            # a file that shrinks or grows while being read still fails below
+            found = f.readinto(_bytes_view(arr)) + len(f.read(1))
+        if found != expected:
+            raise PayloadError(
+                f"{path}: expected {expected} payload bytes for shape "
+                f"({rows}, {cols}), found {found}"
+            )
+    arr = arr.astype(np.float64, copy=False)
     if not np.isfinite(arr).all():
         bad = int(np.count_nonzero(~np.isfinite(arr)))
         raise NonFiniteError(f"{path}: payload has {bad} non-finite entries")
     return arr
+
+
+def _bytes_view(arr: np.ndarray) -> memoryview:
+    """The raw bytes of a C-contiguous array, without copying them."""
+    return memoryview(arr).cast("B")
 
 
 def _read_header_line(f: io.BufferedReader, path) -> bytes:

@@ -26,10 +26,20 @@ the positive tail.
 A pass drives the input-side strengths toward zero and leaves the
 output-side sums untouched; running the same pass on the transpose of the
 result ("bidirectional") collapses both sides.
+
+The draw is the exponential race of Efraimidis & Spirakis, "Weighted
+random sampling with a reservoir" (IPL 2006); see weighted_draw_order.
+
+Memory: besides the caller's input, pa_rewire holds one working copy of
+the matrix plus the output, never more. The input-side pass runs in place
+on a transposed copy, which is freed once it has been copied back into
+the output; the bidirectional second pass runs in place on the output.
+Scratch space beyond that is two blocks of about 2**16 values.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -54,6 +64,10 @@ __all__ = [
 ]
 
 PASS_MODES = ("input-only", "bidirectional")
+
+# Values per block of rows in a pass: bounds the pass's scratch memory to
+# two blocks (sorted rows and keys) while amortizing per-call overhead.
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -87,10 +101,58 @@ def weighted_draw_order(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     independent exponentials with rates p[i] lands on i with probability
     p[i]/sum(p), and by memorylessness the remaining arrivals replay the
     same race on the survivors, which is exactly sequential weighted sampling with
-    renormalization after each draw, in O(n log n).
+    renormalization after each draw, in O(n log n). The passes draw the
+    same keys in blocks of rows; this per-column form is their reference.
     """
     keys = gen.standard_exponential(p.shape[0]) / p
     return np.argsort(keys)
+
+
+def _pass_rows(a: np.ndarray, gen: np.random.Generator) -> None:
+    """One rewiring pass over rows 1.. of a C-contiguous array, in place.
+
+    Row t of `a` is column t of the layer being rewired, so every step
+    reads and writes one contiguous row. Rows are processed in blocks of
+    about _BLOCK values. A block's rows are sorted when the block starts:
+    a row is untouched until its own turn, so this equals sorting every
+    row up front. Its exponential keys come from one draw, which yields
+    the same stream as one draw of len(row) values per row.
+    """
+    n_rows, n = a.shape
+    if n_rows == 1 or n == 1:
+        return
+    s = a[0].copy()
+    block = max(1, _BLOCK // n)
+    for start in range(1, n_rows, block):
+        stop = min(start + block, n_rows)
+        sorted_rows = np.sort(a[start:stop], axis=1)
+        keys = gen.standard_exponential((stop - start) * n).reshape(stop - start, n)
+        for i in range(stop - start):
+            k = keys[i]
+            np.divide(k, attachment_scores(s), out=k)
+            row = a[start + i]
+            row[np.argsort(k)] = sorted_rows[i]
+            s += row
+
+
+def _check_score_bound(w: np.ndarray, passes: str) -> None:
+    """Reject weights whose attachment scores could overflow float64.
+
+    A pass over an (n_in, n_out) matrix keeps |s| <= n_out * max|w|, so
+    the unnormalized scores sum to at most n_in * (2 * n_out * max|w| + 1).
+    The bidirectional second pass runs on the transpose.
+    """
+    n_in, n_out = w.shape
+    amax = float(max(w.max(), -w.min()))
+    shapes = [(n_in, n_out)]
+    if passes == "bidirectional":
+        shapes.append((n_out, n_in))
+    for rows, cols in shapes:
+        if not math.isfinite(rows * (2.0 * cols * amax + 1.0)):
+            raise ValueError(
+                f"max |w| = {amax:.3g} overflows the attachment scores of a "
+                f"{rows}x{cols} pass"
+            )
 
 
 def pa_pass(m, rng: RngStream) -> np.ndarray:
@@ -100,25 +162,7 @@ def pa_pass(m, rng: RngStream) -> np.ndarray:
     the same column of the input. Degenerate shapes (single row or single
     column) are returned unchanged and consume no randomness.
     """
-    w = validate_matrix(m)
-    n_in, n_out = w.shape
-    if n_in == 1 or n_out == 1:
-        return w.copy()
-    gen = rng.generator
-    # Work on the transpose so each processed column is a contiguous row,
-    # and pre-sort all columns up front: column t is untouched until its
-    # own iteration, so its sorted values never change before they are
-    # needed.
-    wt = np.ascontiguousarray(w.T)
-    sorted_cols = np.sort(wt[1:], axis=1)
-    s = wt[0].copy()
-    for t in range(1, n_out):
-        p = attachment_scores(s)
-        targets = weighted_draw_order(p, gen)
-        row = wt[t]
-        row[targets] = sorted_cols[t - 1]
-        s += row
-    return np.ascontiguousarray(wt.T)
+    return pa_rewire(m, RewireConfig(rng=rng, passes="input-only"))
 
 
 def pa_rewire(m, cfg: RewireConfig) -> np.ndarray:
@@ -127,11 +171,20 @@ def pa_rewire(m, cfg: RewireConfig) -> np.ndarray:
     The bidirectional mode runs the input-side pass, repeats it on the
     transpose of the result, and transposes back, so both strength
     distributions collapse. The multiset of weight values is preserved
-    exactly in every mode.
+    exactly in every mode. Raises ValueError when the weights are so large
+    that the attachment scores would overflow.
     """
-    out = pa_pass(m, cfg.rng)
+    w = validate_matrix(m)
+    _check_score_bound(w, cfg.passes)
+    gen = cfg.rng.generator
+    # the input-side pass walks the columns of w, i.e. the rows of w.T
+    work = w.T.copy()
+    _pass_rows(work, gen)
+    out = work.T.copy()
+    del work  # free it before the second pass: one working copy at a time
     if cfg.passes == "bidirectional":
-        out = np.ascontiguousarray(pa_pass(out.T, cfg.rng).T)
+        # the output-side pass walks the rows of the result itself
+        _pass_rows(out, gen)
     return out
 
 

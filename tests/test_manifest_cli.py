@@ -52,6 +52,23 @@ class TestManifest:
         with pytest.raises(ValueError, match="missing required"):
             ExperimentManifest.from_json('{"dataset": "mnist"}')
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("baseline_rewire", "var-min"),
+            ("treatment_rewire", "magic"),
+            ("init_method", "he-uniform"),
+            ("arch", [784]),
+        ],
+    )
+    def test_bad_field_rejected_at_load(self, tmp_path, field, value):
+        # the data directory does not exist: the error must come first
+        doc = {"dataset": "mnist", "arch": [4, 2], "out_dir": str(tmp_path / "out"),
+               "data_dir": str(tmp_path / "no-data"), field: value}
+        with pytest.raises(ValueError):
+            ExperimentManifest.from_json(json.dumps(doc))
+        assert not (tmp_path / "out").exists()
+
     def test_smoke_run_outputs(self, data_dir, tmp_path):
         out = tmp_path / "out"
         assert run_manifest(tiny_manifest(data_dir, out)) == 0

@@ -212,6 +212,16 @@ class TestPaRewire:
         assert np.mean(in_ratios) < 0.2
         assert np.mean(out_ratios) < 0.2
 
+    @pytest.mark.parametrize("passes", ["input-only", "bidirectional"])
+    def test_overflowing_scores_rejected(self, passes):
+        # running strengths of +-1e308 overflow to inf and the scores to NaN
+        m = np.where(np.random.default_rng(0).random((8, 8)) < 0.5, -1e308, 1e308)
+        with pytest.raises(ValueError, match="overflow"):
+            pa_rewire(m, RewireConfig(rng=derive_stream(0, 0, 0), passes=passes))
+        with np.errstate(all="raise"):
+            out = pa_rewire(m * 1e-8, RewireConfig(rng=derive_stream(0, 0, 0), passes=passes))
+        npt.assert_array_equal(np.sort(out, axis=None), np.sort(m * 1e-8, axis=None))
+
     def test_invalid_passes(self, stream):
         with pytest.raises(ValueError):
             RewireConfig(rng=stream, passes="diagonal")
