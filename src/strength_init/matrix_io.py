@@ -93,8 +93,9 @@ def save_matrix(m, path) -> None:
 def load_matrix(path) -> np.ndarray:
     """Read a WMAT file back into a float64 matrix.
 
-    The payload is read straight into the returned array. Raises HeaderError, PayloadError, or NonFiniteError depending on what
-    is wrong with the file.
+    The payload is read straight into the returned array. Raises
+    HeaderError, PayloadError, or NonFiniteError depending on what is
+    wrong with the file.
     """
     with open(path, "rb") as f:
         header = _read_header_line(f, path)
