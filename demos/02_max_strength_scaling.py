@@ -12,7 +12,7 @@ max_strength_scaling.csv next to this script).
 from pathlib import Path
 
 from strength_init import derive_stream, max_strength_scaling
-from strength_init.strength import sweep_rows_to_csv
+from strength_init.rewiring import sweep_rows_to_csv
 
 rows = max_strength_scaling(
     "kaiming-uniform",

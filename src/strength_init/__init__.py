@@ -10,7 +10,8 @@ The package is organized around plain float64 numpy arrays:
 - ``initializers``  the literature weight initializers
 - ``strength``      neuronal strength (weighted degree) and its statistics
 - ``rewiring``      preferential-attachment rewiring, the strength-variance
-                    random-search baseline, and the cost probe
+                    random-search baseline, the cost probe and the
+                    max-strength size sweep
 - ``dataset``       IDX image/label ingestion and deterministic splits
 - ``training``      from-scratch MLP training with a fixed simple schedule
 - ``stats``         population comparison (Welch t, Kruskal-Wallis, Pearson)
@@ -36,6 +37,7 @@ from .matrix_io import (
 )
 from .rewiring import (
     RewireConfig,
+    max_strength_scaling,
     pa_pass,
     pa_rewire,
     pa_rewire_conv,
@@ -54,7 +56,6 @@ from .stats import (
 )
 from .strength import (
     StrengthStats,
-    max_strength_scaling,
     model_strength_summary,
     predicted_strength_variance,
     strength_stats,

@@ -30,13 +30,15 @@ from .rewiring import (
     PASS_MODES,
     RewireConfig,
     fit_loglog_slope,
+    max_strength_scaling,
     pa_rewire,
     pa_rewire_conv,
     rewire_cost_probe,
+    sweep_rows_to_csv,
 )
 from .rng import derive_stream
 from .stats import compare
-from .strength import max_strength_scaling, strength_stats, sweep_rows_to_csv
+from .strength import strength_stats
 from .training import TrainingDivergedError
 
 EXIT_OK = 0
@@ -91,14 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stream_args(p)
 
     p = sub.add_parser("analyze", help="strength statistics of a WMAT file")
-    p.add_argument("--in", dest="infile")
+    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--side", choices=("input", "output"), default="input")
     p.add_argument("--json", action="store_true", help="emit the stats as a JSON object")
-    p.add_argument("--sweep", action="store_true", help="run the max-strength size sweep instead")
-    p.add_argument("--method", choices=METHODS, default="kaiming-uniform")
-    p.add_argument("--sizes", type=_int_list, default=[64, 256, 1024, 4096])
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--no-rewire", action="store_true", help="sweep base weights only")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
     _add_stream_args(p)
 
@@ -184,10 +181,6 @@ def _cmd_rewire(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.sweep:
-        return _cmd_sweep(args)
-    if not args.infile:
-        raise _UsageError("analyze needs --in (or --sweep)")
     stats = strength_stats(load_matrix(args.infile), args.side)
     if args.json:
         _emit(json.dumps(stats.to_dict(), indent=2) + "\n", args.out)

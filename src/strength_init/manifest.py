@@ -23,7 +23,7 @@ from .dataset import load_named_dataset, split
 from .initializers import METHODS
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import compare
-from .training import MlpArch, RunMetrics, TrainConfig, parse_rewire_mode, train
+from .training import MlpArch, RunMetrics, TrainConfig, parse_rewire_mode, train_population
 
 __all__ = ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir", "resolve_data_dir"]
 
@@ -132,12 +132,15 @@ def _worker_init(manifest_doc: dict) -> None:
     _worker_state["data"] = _prepare_data(manifest)
 
 
-def _worker_run(args) -> dict:
-    rewire, rep = args
-    manifest = _worker_state["manifest"]
-    train_ds, val_ds, test_ds = _worker_state["data"]
-    metrics = train(manifest.train_config(rewire, rep), train_ds, val_ds, test_ds)
-    return _metrics_doc(metrics)
+def _worker_run(args) -> list[dict]:
+    rewire, reps = args
+    return _train_docs(_worker_state["manifest"], rewire, reps, _worker_state["data"])
+
+
+def _train_docs(manifest: ExperimentManifest, rewire: str, reps, data) -> list[dict]:
+    """Train repetitions `reps` of one arm as one population."""
+    cfgs = [manifest.train_config(rewire, r) for r in reps]
+    return [_metrics_doc(m) for m in train_population(cfgs, *data)]
 
 
 def _metrics_doc(metrics: RunMetrics) -> dict:
@@ -152,21 +155,22 @@ def _write_rep_file(path: Path, doc: dict) -> None:
 
 
 def _run_population(manifest: ExperimentManifest, rewire: str, arm_dir: Path, data) -> list[dict]:
+    """Train one arm as one population, or with jobs > 1 as one contiguous
+    chunk of repetitions per worker, and write its files."""
     arm_dir.mkdir(parents=True, exist_ok=True)
     reps = list(range(manifest.repetitions))
     if manifest.jobs > 1:
+        k = min(manifest.jobs, len(reps))
+        bounds = [len(reps) * i // k for i in range(k + 1)]
+        chunks = [reps[a:b] for a, b in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(
-            max_workers=manifest.jobs,
+            max_workers=k,
             initializer=_worker_init,
             initargs=(asdict(manifest),),
         ) as pool:
-            docs = list(pool.map(_worker_run, [(rewire, r) for r in reps]))
+            docs = [doc for part in pool.map(_worker_run, [(rewire, c) for c in chunks]) for doc in part]
     else:
-        train_ds, val_ds, test_ds = data
-        docs = []
-        for r in reps:
-            metrics = train(manifest.train_config(rewire, r), train_ds, val_ds, test_ds)
-            docs.append(_metrics_doc(metrics))
+        docs = _train_docs(manifest, rewire, reps, data)
     summaries = []
     for r, doc in zip(reps, docs):
         _write_rep_file(arm_dir / f"rep_{r:03d}.jsonl", doc)

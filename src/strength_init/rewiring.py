@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initializers import InitSpec, init
-from .matrix_io import conv_from_2d, conv_to_2d, validate_conv, validate_matrix
+from .matrix_io import validate_conv, validate_matrix
 from .rng import RngStream
 from .strength import strengths
 
@@ -61,6 +61,9 @@ __all__ = [
     "variance_search",
     "rewire_cost_probe",
     "fit_loglog_slope",
+    "SweepRow",
+    "max_strength_scaling",
+    "sweep_rows_to_csv",
 ]
 
 PASS_MODES = ("input-only", "bidirectional")
@@ -189,10 +192,14 @@ def pa_rewire(m, cfg: RewireConfig) -> np.ndarray:
 
 
 def pa_rewire_conv(t, cfg: RewireConfig) -> np.ndarray:
-    """Rewire a (w, h, z, o) filter bank through its 2-D form."""
+    """Rewire a (w, h, z, o) filter bank through its 2-D form (see conv_to_2d).
+
+    Both reshapes are views: of the validated, C-contiguous bank, which
+    pa_rewire only reads, and of pa_rewire's fresh output.
+    """
     arr = validate_conv(t)
-    w, h, z, _ = arr.shape
-    return conv_from_2d(pa_rewire(conv_to_2d(arr), cfg), (w, h, z))
+    w, h, z, o = arr.shape
+    return pa_rewire(arr.reshape(w * h * z, o), cfg).reshape(arr.shape)
 
 
 def variance_search(spec: InitSpec, k: int, mode: str, rng: RngStream) -> np.ndarray:
@@ -244,6 +251,79 @@ def rewire_cost_probe(sizes, reps: int = 3, passes: str = "bidirectional", seed:
             best = min(best, time.perf_counter() - t0)
         table.append((n, best))
     return table
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """Max-|strength| statistics for one layer size, before/after rewiring."""
+
+    size: int
+    base_mean: float
+    base_std: float
+    rewired_mean: float | None = None
+    rewired_std: float | None = None
+
+
+def max_strength_scaling(
+    method: str,
+    sizes,
+    trials: int,
+    rng: RngStream,
+    rewire: bool = True,
+    gain: float = 1.0,
+) -> list[SweepRow]:
+    """How the largest |strength| of a square n-by-n layer grows with n.
+
+    For each size, `trials` layers are generated from the given stream and
+    the maximum absolute input-side strength is recorded, optionally also
+    after bidirectional rewiring of the same layers. Literature
+    initializers show a max|s| that keeps growing with size; rewiring
+    pushes it down at every size.
+    """
+    sizes = [int(n) for n in sizes]
+    if not sizes:
+        raise ValueError("sizes must be nonempty")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rows = []
+    for n in sizes:
+        base_max = np.empty(trials)
+        rew_max = np.empty(trials) if rewire else None
+        for k in range(trials):
+            w = init(InitSpec(method, n, n, gain=gain), rng)
+            base_max[k] = np.abs(w.sum(axis=1)).max()
+            if rewire:
+                r = pa_rewire(w, RewireConfig(rng=rng))
+                rew_max[k] = np.abs(r.sum(axis=1)).max()
+        if rewire:
+            rows.append(
+                SweepRow(
+                    size=n,
+                    base_mean=float(base_max.mean()),
+                    base_std=float(base_max.std()),
+                    rewired_mean=float(rew_max.mean()),
+                    rewired_std=float(rew_max.std()),
+                )
+            )
+        else:
+            rows.append(
+                SweepRow(size=n, base_mean=float(base_max.mean()), base_std=float(base_max.std()))
+            )
+    return rows
+
+
+def sweep_rows_to_csv(rows) -> str:
+    """Render SweepRows as the CSV the sweep CLI emits."""
+    lines = ["size,base_mean,base_std,rewired_mean,rewired_std"]
+    for r in rows:
+        if r.rewired_mean is None:
+            lines.append(f"{r.size},{r.base_mean:.17g},{r.base_std:.17g},,")
+        else:
+            lines.append(
+                f"{r.size},{r.base_mean:.17g},{r.base_std:.17g},"
+                f"{r.rewired_mean:.17g},{r.rewired_std:.17g}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def fit_loglog_slope(table) -> float:

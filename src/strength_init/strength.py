@@ -15,9 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .initializers import InitSpec, init
 from .matrix_io import validate_matrix
-from .rng import RngStream
 
 __all__ = [
     "SIDES",
@@ -27,8 +25,6 @@ __all__ = [
     "strength_stats",
     "predicted_strength_variance",
     "model_strength_summary",
-    "max_strength_scaling",
-    "SweepRow",
 ]
 
 SIDES = ("input", "output")
@@ -125,79 +121,3 @@ def model_strength_summary(layers) -> tuple[float, float]:
     avg_var = float(np.mean([st.variance for st in stats]))
     avg_mu4 = float(np.mean([st.fourth_central_moment for st in stats]))
     return avg_var, avg_mu4
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """Max-|strength| statistics for one layer size, before/after rewiring."""
-
-    size: int
-    base_mean: float
-    base_std: float
-    rewired_mean: float | None = None
-    rewired_std: float | None = None
-
-
-def max_strength_scaling(
-    method: str,
-    sizes,
-    trials: int,
-    rng: RngStream,
-    rewire: bool = True,
-    gain: float = 1.0,
-) -> list[SweepRow]:
-    """How the largest |strength| of a square n-by-n layer grows with n.
-
-    For each size, `trials` layers are generated from the given stream and
-    the maximum absolute input-side strength is recorded, optionally also
-    after bidirectional rewiring of the same layers. Literature
-    initializers show a max|s| that keeps growing with size; rewiring
-    pushes it down at every size.
-    """
-    # imported here: rewiring depends on this module at import time
-    from .rewiring import RewireConfig, pa_rewire
-
-    sizes = [int(n) for n in sizes]
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rows = []
-    for n in sizes:
-        base_max = np.empty(trials)
-        rew_max = np.empty(trials) if rewire else None
-        for k in range(trials):
-            w = init(InitSpec(method, n, n, gain=gain), rng)
-            base_max[k] = np.abs(w.sum(axis=1)).max()
-            if rewire:
-                r = pa_rewire(w, RewireConfig(rng=rng))
-                rew_max[k] = np.abs(r.sum(axis=1)).max()
-        if rewire:
-            rows.append(
-                SweepRow(
-                    size=n,
-                    base_mean=float(base_max.mean()),
-                    base_std=float(base_max.std()),
-                    rewired_mean=float(rew_max.mean()),
-                    rewired_std=float(rew_max.std()),
-                )
-            )
-        else:
-            rows.append(
-                SweepRow(size=n, base_mean=float(base_max.mean()), base_std=float(base_max.std()))
-            )
-    return rows
-
-
-def sweep_rows_to_csv(rows) -> str:
-    """Render SweepRows as the CSV the sweep CLI emits."""
-    lines = ["size,base_mean,base_std,rewired_mean,rewired_std"]
-    for r in rows:
-        if r.rewired_mean is None:
-            lines.append(f"{r.size},{r.base_mean:.17g},{r.base_std:.17g},,")
-        else:
-            lines.append(
-                f"{r.size},{r.base_mean:.17g},{r.base_std:.17g},"
-                f"{r.rewired_mean:.17g},{r.rewired_std:.17g}"
-            )
-    return "\n".join(lines) + "\n"

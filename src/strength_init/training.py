@@ -17,6 +17,19 @@ accuracy and loss, the learning rate used, and (optionally) the mean
 absolute weight gradient per layer averaged over the epoch's batches.
 The final model is the epoch with the highest validation accuracy
 (earliest epoch wins ties); test accuracy is evaluated once, there.
+
+There is one engine, train_population, and train is a population of
+one. Because the batch order is shared, R repetitions train in
+lock-step: each batch is gathered once and every layer runs as one
+matmul over the stacked (R, n_in, n_out) weights, which issues the same
+GEMM per repetition as training it alone. Every other step is
+elementwise or runs on one repetition's contiguous slice, so a
+population's metrics are bit-identical to training each repetition by
+itself. The engine holds R copies each of the weights, the velocities
+and the best-epoch snapshot; the end-of-epoch evaluations walk the
+repetitions one at a time, so their memory does not grow with R. A
+population stops with TrainingDivergedError at the first batch where any
+member's loss is non-finite, naming the lowest such repetition.
 """
 
 from __future__ import annotations
@@ -41,6 +54,7 @@ __all__ = [
     "cosine_lr",
     "build_layer_weights",
     "train",
+    "train_population",
     "gradient_flow",
     "evaluate",
 ]
@@ -162,13 +176,21 @@ class RunMetrics:
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; carries where it happened."""
+    """Loss became non-finite; carries where it happened.
 
-    def __init__(self, epoch: int, batch: int, loss: float):
-        super().__init__(f"non-finite loss {loss} at epoch {epoch}, batch {batch}")
+    `repetition` names the diverged member of a population, and is None
+    for a population of one.
+    """
+
+    def __init__(self, epoch: int, batch: int, loss: float, repetition: int | None = None):
+        where = f"epoch {epoch}, batch {batch}"
+        if repetition is not None:
+            where += f", repetition {repetition}"
+        super().__init__(f"non-finite loss {loss} at {where}")
         self.epoch = epoch
         self.batch = batch
         self.loss = loss
+        self.repetition = repetition
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
@@ -205,44 +227,64 @@ def build_layer_weights(cfg: TrainConfig) -> list[np.ndarray]:
     return weights
 
 
-def _forward_collect(weights, biases, x):
-    """Forward pass keeping pre- and post-activation values for backprop."""
+def _forward(weights, biases, x, collect: bool = False):
+    """Forward pass of one model or of a stacked population.
+
+    Weights are (n_in, n_out) with biases broadcastable to (1, n_out), or
+    stacked (R, n_in, n_out) with (R, 1, n_out); `x` is one shared
+    (batch, n_in) block either way, which matmul broadcasts over the
+    stack. Returns the logits, or with `collect` the pre-activations and
+    the inputs of every layer (plus the logits) that backprop needs.
+    """
     pre = []
     acts = [x]
     a = x
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w + b
-        pre.append(z)
+        z = a @ w
+        z += b
         a = np.maximum(z, 0.0) if l < last else z
-        acts.append(a)
-    return pre, acts
+        if collect:
+            pre.append(z)
+            acts.append(a)
+    return (pre, acts) if collect else a
 
 
 def _softmax_ce(logits, labels):
-    """Mean cross-entropy and the softmax probabilities, numerically stable."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    lse = np.log(exp.sum(axis=1)) + logits.max(axis=1)
-    loss = float(np.mean(lse - logits[np.arange(labels.shape[0]), labels]))
+    """Mean cross-entropy over the batch axis and the softmax probabilities,
+    numerically stable; a stacked (R, batch, k) input gives R losses."""
+    top = logits.max(axis=-1, keepdims=True)
+    exp = np.exp(logits - top)
+    total = exp.sum(axis=-1, keepdims=True)
+    probs = exp / total
+    lse = np.log(total[..., 0]) + top[..., 0]
+    loss = np.mean(lse - logits[..., np.arange(labels.shape[0]), labels], axis=-1)
     return loss, probs
 
 
 def _backward(weights, pre, acts, probs, labels):
-    """Mean-reduced gradients for every weight matrix and bias vector."""
+    """Mean-reduced gradients for every weight matrix and bias vector.
+
+    Works on one model or a stacked population alike (see _forward); bias
+    gradients are (n_out,) per model, so (R, n_out) for a population.
+    """
     batch = labels.shape[0]
     delta = probs.copy()
-    delta[np.arange(batch), labels] -= 1.0
+    delta[..., np.arange(batch), labels] -= 1.0
     delta /= batch
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
     for l in range(len(weights) - 1, -1, -1):
-        grads_w[l] = acts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+        grads_w[l] = np.swapaxes(acts[l], -1, -2) @ delta
+        grads_b[l] = delta.sum(axis=-2)
         if l > 0:
-            delta = delta @ weights[l].T
-            delta[pre[l - 1] <= 0.0] = 0.0
+            delta = delta @ np.swapaxes(weights[l], -1, -2)
+            # delta[pre <= 0] = 0.0 as a bitwise AND with all-ones or
+            # all-zeros words: the same bits, without a branch per element
+            keep = (pre[l - 1] <= 0.0).astype(np.uint64)
+            keep -= 1
+            bits = delta.view(np.uint64)
+            np.bitwise_and(bits, keep, out=bits)
     return grads_w, grads_b
 
 
@@ -254,91 +296,135 @@ def evaluate(weights, biases, features, labels, chunk: int = _EVAL_CHUNK):
     for start in range(0, n, chunk):
         x = features[start : start + chunk]
         y = labels[start : start + chunk]
-        a = x
-        last = len(weights) - 1
-        for l, (w, b) in enumerate(zip(weights, biases)):
-            a = a @ w + b
-            if l < last:
-                a = np.maximum(a, 0.0)
-        loss, _ = _softmax_ce(a, y)
-        loss_sum += loss * x.shape[0]
-        correct += int(np.count_nonzero(a.argmax(axis=1) == y))
+        logits = _forward(weights, biases, x)
+        loss, _ = _softmax_ce(logits, y)
+        loss_sum += float(loss) * x.shape[0]
+        correct += int(np.count_nonzero(logits.argmax(axis=1) == y))
     return 100.0 * correct / n, loss_sum / n
+
+
+# What every member of a population shares: the network, the schedule and
+# the batch order (a function of the global seed alone).
+_SHARED_FIELDS = ("arch", "epochs", "batch_size", "lr0", "momentum", "global_seed", "log_gradients")
 
 
 def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset) -> RunMetrics:
     """Run one full training repetition and return its metric trace.
 
-    Deterministic: identical (cfg, data) gives an identical RunMetrics.
-    Raises TrainingDivergedError if the batch loss ever goes non-finite.
+    A population of one: see train_population. Deterministic: identical
+    (cfg, data) gives an identical RunMetrics. Raises
+    TrainingDivergedError if the batch loss ever goes non-finite.
     """
+    return train_population([cfg], train_ds, val_ds, test_ds)[0]
+
+
+def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset) -> list[RunMetrics]:
+    """Train several repetitions in lock-step; one RunMetrics per config, in order.
+
+    The configs may differ only in repetition_index, init_method,
+    init_gain and rewire. Every member sees the same batches, so each
+    batch is gathered once and every layer is one matmul over the stacked
+    (R, n_in, n_out) weights. That matmul issues the same GEMM per member
+    as training the member alone, and every other step is elementwise or
+    runs on the member's own contiguous slice, so each RunMetrics is
+    bit-identical to training that config by itself.
+
+    Raises TrainingDivergedError at the first batch where any member's
+    loss is non-finite, naming the lowest such repetition when R > 1.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("a population needs at least one config")
+    head = cfgs[0]
+    for cfg in cfgs[1:]:
+        if any(getattr(cfg, f) != getattr(head, f) for f in _SHARED_FIELDS):
+            raise ValueError(f"population members must share {', '.join(_SHARED_FIELDS)}")
     if val_ds.n < 1 or test_ds.n < 1:
         raise ValueError("validation and test sets must be nonempty")
-    n_features = cfg.arch.layer_sizes[0]
-    if train_ds.features.shape[1] != n_features:
+    sizes = head.arch.layer_sizes
+    if train_ds.features.shape[1] != sizes[0]:
         raise ValueError(
-            f"architecture expects {n_features} input features, "
+            f"architecture expects {sizes[0]} input features, "
             f"dataset has {train_ds.features.shape[1]}"
         )
-    weights = build_layer_weights(cfg)
-    biases = [np.zeros(s) for s in cfg.arch.layer_sizes[1:]]
+    n_pop = len(cfgs)
+    n_layers = head.arch.n_weight_layers
+    weights = [np.empty((n_pop, sizes[l], sizes[l + 1])) for l in range(n_layers)]
+    for r, cfg in enumerate(cfgs):
+        for l, w in enumerate(build_layer_weights(cfg)):
+            weights[l][r] = w
+    biases = [np.zeros((n_pop, 1, s)) for s in sizes[1:]]
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
-    batch_gen = harness_generator(cfg.global_seed, BATCH_ORDER_DOMAIN)
+    best_w = [np.empty_like(w) for w in weights]
+    best_b = [np.empty_like(b) for b in biases]
+    best_val = [-1.0] * n_pop
+    batch_gen = harness_generator(head.global_seed, BATCH_ORDER_DOMAIN)
 
-    metrics = RunMetrics(repetition_index=cfg.repetition_index, epochs=cfg.epochs)
-    if cfg.log_gradients:
-        metrics.grad_abs_mean = []
+    runs = [RunMetrics(repetition_index=cfg.repetition_index, epochs=cfg.epochs) for cfg in cfgs]
+    if head.log_gradients:
+        for m in runs:
+            m.grad_abs_mean = []
 
     x_train, y_train = train_ds.features, train_ds.labels
     n = train_ds.n
-    best_val = -1.0
-    best_weights = None
-    best_biases = None
+    momentum = head.momentum
 
-    for epoch in range(cfg.epochs):
-        lr = cosine_lr(epoch, cfg.epochs, cfg.lr0)
+    for epoch in range(head.epochs):
+        lr = cosine_lr(epoch, head.epochs, head.lr0)
         perm = batch_gen.permutation(n)
-        grad_sums = np.zeros(len(weights))
+        grad_sums = np.zeros((n_pop, n_layers))
         n_batches = 0
-        for batch_i, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = perm[start : start + cfg.batch_size]
+        for batch_i, start in enumerate(range(0, n, head.batch_size)):
+            idx = perm[start : start + head.batch_size]
             xb, yb = x_train[idx], y_train[idx]
             # a diverging run overflows before the loss check catches it;
             # the check is the detector, so keep the overflow quiet
             with np.errstate(over="ignore", invalid="ignore"):
-                pre, acts = _forward_collect(weights, biases, xb)
-                loss, probs = _softmax_ce(pre[-1], yb)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch + 1, batch_i + 1, loss)
+                pre, acts = _forward(weights, biases, xb, collect=True)
+                losses, probs = _softmax_ce(pre[-1], yb)
+            bad = np.flatnonzero(~np.isfinite(losses))
+            if bad.size:
+                r = min(bad, key=lambda i: cfgs[i].repetition_index)
+                rep = cfgs[r].repetition_index if n_pop > 1 else None
+                raise TrainingDivergedError(epoch + 1, batch_i + 1, float(losses[r]), rep)
             grads_w, grads_b = _backward(weights, pre, acts, probs, yb)
-            if cfg.log_gradients:
+            if head.log_gradients:
                 for l, g in enumerate(grads_w):
-                    grad_sums[l] += float(np.abs(g).mean())
+                    for r in range(n_pop):
+                        grad_sums[r, l] += float(np.abs(g[r]).mean())
             n_batches += 1
-            for l in range(len(weights)):
-                vel_w[l] = cfg.momentum * vel_w[l] + grads_w[l]
-                vel_b[l] = cfg.momentum * vel_b[l] + grads_b[l]
-                weights[l] -= lr * vel_w[l]
-                biases[l] -= lr * vel_b[l]
+            # v = momentum * v + g; w -= lr * v, with the gradient's
+            # buffer reused for lr * v
+            for param, vel, grad in zip(weights + biases, vel_w + vel_b, grads_w + grads_b):
+                grad = grad.reshape(vel.shape)
+                np.multiply(vel, momentum, out=vel)
+                np.add(vel, grad, out=vel)
+                np.multiply(vel, lr, out=grad)
+                np.subtract(param, grad, out=param)
 
-        train_acc, _ = evaluate(weights, biases, x_train, y_train)
-        val_acc, val_loss = evaluate(weights, biases, val_ds.features, val_ds.labels)
-        metrics.train_acc.append(train_acc)
-        metrics.val_acc.append(val_acc)
-        metrics.val_loss.append(val_loss)
-        metrics.lr.append(lr)
-        if cfg.log_gradients:
-            metrics.grad_abs_mean.append([float(s / n_batches) for s in grad_sums])
-        if val_acc > best_val:
-            best_val = val_acc
-            best_weights = [w.copy() for w in weights]
-            best_biases = [b.copy() for b in biases]
-            metrics.convergence_epoch = epoch + 1
+        for r, m in enumerate(runs):
+            w_r = [w[r] for w in weights]
+            b_r = [b[r] for b in biases]
+            train_acc, _ = evaluate(w_r, b_r, x_train, y_train)
+            val_acc, val_loss = evaluate(w_r, b_r, val_ds.features, val_ds.labels)
+            m.train_acc.append(train_acc)
+            m.val_acc.append(val_acc)
+            m.val_loss.append(val_loss)
+            m.lr.append(lr)
+            if head.log_gradients:
+                m.grad_abs_mean.append([float(s / n_batches) for s in grad_sums[r]])
+            if val_acc > best_val[r]:
+                best_val[r] = val_acc
+                for src, dst in zip(weights + biases, best_w + best_b):
+                    dst[r] = src[r]
+                m.convergence_epoch = epoch + 1
 
-    test_acc, _ = evaluate(best_weights, best_biases, test_ds.features, test_ds.labels)
-    metrics.test_acc = test_acc
-    return metrics
+    for r, m in enumerate(runs):
+        m.test_acc, _ = evaluate(
+            [w[r] for w in best_w], [b[r] for b in best_b], test_ds.features, test_ds.labels
+        )
+    return runs
 
 
 def gradient_flow(metrics: RunMetrics) -> list[tuple[int, int, float]]:

@@ -21,17 +21,18 @@ from strength_init.rewiring import (
     RewireConfig,
     fit_loglog_slope,
     pa_rewire,
+    max_strength_scaling,
     pa_rewire_conv,
     rewire_cost_probe,
 )
 from strength_init.rng import derive_stream, harness_generator
 from strength_init.stats import kruskal_wallis, median_abs_deviation, pearson, welch_t_test
-from strength_init.strength import max_strength_scaling, strengths
+from strength_init.strength import strengths
 from strength_init.training import (
     MlpArch,
     TrainConfig,
     _backward,
-    _forward_collect,
+    _forward,
     _softmax_ce,
     train,
 )
@@ -132,7 +133,7 @@ def test_criterion_06_gradient_correctness():
         bs = [gen.normal(scale=0.1, size=b) for b in sizes[1:]]
         x = gen.normal(size=(6, sizes[0]))
         y = gen.integers(0, sizes[-1], size=6)
-        pre, acts = _forward_collect(ws, bs, x)
+        pre, acts = _forward(ws, bs, x, collect=True)
         if pre[:-1] and min(np.abs(z).min() for z in pre[:-1]) < 1e-3:
             continue  # stay clear of the ReLU kink for the difference quotient
 

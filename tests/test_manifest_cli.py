@@ -113,12 +113,16 @@ class TestManifest:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
     def test_jobs_pool_matches_sequential(self, data_dir, tmp_path):
+        # three repetitions over two workers: chunks of one and two
         out1, out2 = tmp_path / "seq", tmp_path / "par"
-        run_manifest(tiny_manifest(data_dir, out1, jobs=1))
-        run_manifest(tiny_manifest(data_dir, out2, jobs=2))
-        assert (out1 / "baseline" / "rep_001.jsonl").read_bytes() == (
-            out2 / "baseline" / "rep_001.jsonl"
-        ).read_bytes()
+        run_manifest(tiny_manifest(data_dir, out1, jobs=1, treatment_rewire="pa", repetitions=3))
+        run_manifest(tiny_manifest(data_dir, out2, jobs=2, treatment_rewire="pa", repetitions=3))
+        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+        assert len([f for f in files if f.name.startswith("rep_")]) == 6
+        for rel in files:
+            if rel.name != "manifest.json":  # records jobs
+                assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
     def test_plot_export_empty_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -7,6 +7,7 @@ import pytest
 from strength_init.initializers import InitSpec, init
 from strength_init.matrix_io import NonFiniteError, conv_to_2d
 from strength_init.rewiring import (
+    PASS_MODES,
     RewireConfig,
     attachment_scores,
     fit_loglog_slope,
@@ -239,6 +240,16 @@ class TestPaRewireConv:
         out = pa_rewire_conv(t, cfg)
         assert out.shape == t.shape
         npt.assert_array_equal(np.sort(out, axis=None), np.sort(t, axis=None))
+
+    @pytest.mark.parametrize("passes", PASS_MODES)
+    def test_caller_bank_untouched(self, rng, passes):
+        # a C-contiguous float64 bank is rewired through views of itself
+        t = rng.normal(size=(3, 3, 4, 8))
+        before = t.copy()
+        out = pa_rewire_conv(t, RewireConfig(rng=derive_stream(8, 0, 0), passes=passes))
+        npt.assert_array_equal(t, before)
+        assert not np.shares_memory(out, t)
+        assert not np.array_equal(out, t)
 
     def test_strength_variance_reduced(self, rng):
         t = rng.normal(scale=np.sqrt(2.0 / 144), size=(3, 3, 16, 32))

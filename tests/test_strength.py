@@ -3,15 +3,14 @@ import numpy.testing as npt
 import pytest
 
 from strength_init.initializers import InitSpec, init
+from strength_init.rewiring import max_strength_scaling, sweep_rows_to_csv
 from strength_init.rng import derive_stream
 from strength_init.strength import (
-    max_strength_scaling,
     model_strength_summary,
     predicted_strength_variance,
     stats_from_strengths,
     strength_stats,
     strengths,
-    sweep_rows_to_csv,
 )
 
 

@@ -17,7 +17,7 @@ from strength_init.training import (
     parse_rewire_mode,
     train,
     _backward,
-    _forward_collect,
+    _forward,
     _softmax_ce,
 )
 
@@ -117,7 +117,7 @@ class TestLossAndGradients:
 
             # keep pre-activations away from the ReLU kink so the finite
             # difference is taken on a smooth neighborhood
-            pre, acts = _forward_collect(ws, bs, x)
+            pre, acts = _forward(ws, bs, x, collect=True)
             if min(np.abs(z).min() for z in pre[:-1]) < 1e-3:
                 continue
             loss, probs = _softmax_ce(pre[-1], y)
