@@ -17,101 +17,49 @@ The package is organized around plain float64 numpy arrays:
 - ``stats``         population comparison (Welch t, Kruskal-Wallis, Pearson)
 - ``manifest``      reproducible experiment runner
 - ``cli``           the ``strength-init`` command-line pipeline
+
+The top level re-exports only the names the README tour and the demos use.
+Every other public name is imported from its module, e.g.
+``strength_init.matrix_io.save_matrix``.
 """
 
 __version__ = "0.1.0"
 
-from .initializers import METHODS, InitSpec, init
-from .matrix_io import (
-    HeaderError,
-    MatrixIOError,
-    NonFiniteError,
-    PayloadError,
-    conv_from_2d,
-    conv_to_2d,
-    load_matrix,
-    load_matrix_csv,
-    save_matrix,
-    save_matrix_csv,
-    transpose,
-)
+from .initializers import InitSpec, init
+from .matrix_io import conv_to_2d
 from .rewiring import (
     RewireConfig,
     max_strength_scaling,
-    pa_pass,
     pa_rewire,
     pa_rewire_conv,
     rewire_cost_probe,
     variance_search,
-    weighted_draw_order,
 )
-from .rng import RngStream, derive_stream
-from .stats import (
-    ComparisonReport,
-    compare,
-    kruskal_wallis,
-    median_abs_deviation,
-    pearson,
-    welch_t_test,
-)
-from .strength import (
-    StrengthStats,
-    model_strength_summary,
-    predicted_strength_variance,
-    strength_stats,
-    strengths,
-)
-from .dataset import Dataset, load_idx, split
-from .manifest import ExperimentManifest, plot_export, run_manifest
-from .training import MlpArch, RunMetrics, TrainConfig, cosine_lr, gradient_flow, train
+from .rng import derive_stream
+from .strength import strength_stats, strengths
+from .dataset import split
+from .manifest import ExperimentManifest, run_manifest
+from .training import MlpArch, TrainConfig, gradient_flow, train
 
 __all__ = [
     "__version__",
-    "METHODS",
     "InitSpec",
     "init",
-    "MatrixIOError",
-    "HeaderError",
-    "PayloadError",
-    "NonFiniteError",
-    "save_matrix",
-    "load_matrix",
-    "save_matrix_csv",
-    "load_matrix_csv",
     "conv_to_2d",
-    "conv_from_2d",
-    "transpose",
-    "RngStream",
-    "derive_stream",
     "RewireConfig",
-    "pa_pass",
     "pa_rewire",
     "pa_rewire_conv",
-    "weighted_draw_order",
     "variance_search",
     "rewire_cost_probe",
-    "StrengthStats",
+    "max_strength_scaling",
+    "derive_stream",
     "strengths",
     "strength_stats",
-    "predicted_strength_variance",
-    "model_strength_summary",
-    "max_strength_scaling",
-    "welch_t_test",
-    "kruskal_wallis",
-    "pearson",
-    "median_abs_deviation",
-    "compare",
-    "ComparisonReport",
-    "Dataset",
-    "load_idx",
     "split",
-    "MlpArch",
-    "TrainConfig",
-    "RunMetrics",
-    "cosine_lr",
-    "train",
-    "gradient_flow",
     "ExperimentManifest",
     "run_manifest",
-    "plot_export",
+    "MlpArch",
+    "TrainConfig",
+    "train",
+    "gradient_flow",
 ]

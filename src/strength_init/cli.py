@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="kaiming-uniform")
     p.add_argument("--sizes", type=_int_list, default=[64, 256, 1024, 4096])
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--no-rewire", action="store_true")
     p.add_argument("--out", default=None)
     _add_stream_args(p)
 
@@ -192,9 +191,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sweep(args) -> int:
     stream = derive_stream(args.seed, args.layer, args.rep)
-    rows = max_strength_scaling(
-        args.method, args.sizes, args.trials, stream, rewire=not args.no_rewire
-    )
+    rows = max_strength_scaling(args.method, args.sizes, args.trials, stream)
     _emit(sweep_rows_to_csv(rows), args.out)
     return EXIT_OK
 

@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import load_named_dataset, split
-from .initializers import METHODS
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import compare
-from .training import MlpArch, RunMetrics, TrainConfig, parse_rewire_mode, train_population
+from .training import MlpArch, RunMetrics, TrainConfig, train_population
 
 __all__ = ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir", "resolve_data_dir"]
 
@@ -54,15 +53,17 @@ class ExperimentManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "arch", tuple(int(s) for s in self.arch))
-        # fail at load time, not after the dataset is read or inside a worker
-        MlpArch(self.arch)
-        if self.init_method not in METHODS:
-            raise ValueError(f"unknown init method {self.init_method!r}, expected one of {METHODS}")
-        parse_rewire_mode(self.baseline_rewire)
-        if self.treatment_rewire is not None:
-            parse_rewire_mode(self.treatment_rewire)
+        # fail at load time, not after the dataset is read or inside a worker:
+        # each declared arm's TrainConfig checks arch, init, rewire and schedule
+        self.train_config(self.baseline_rewire, 0)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.treatment_rewire is not None:
+            self.train_config(self.treatment_rewire, 0)
+            if self.repetitions < 2:
+                raise ValueError("comparing a treatment arm needs repetitions >= 2")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -81,7 +82,11 @@ class ExperimentManifest:
         missing = {"dataset", "arch", "out_dir"} - set(doc)
         if missing:
             raise ValueError(f"manifest missing required fields: {sorted(missing)}")
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except TypeError as exc:
+            # a wrongly typed field, e.g. "arch": 784 or "repetitions": "ten"
+            raise ValueError(f"manifest field has the wrong type: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":

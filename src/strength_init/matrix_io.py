@@ -35,7 +35,6 @@ __all__ = [
     "load_matrix_csv",
     "conv_to_2d",
     "conv_from_2d",
-    "transpose",
 ]
 
 CSV_MAX_ENTRIES = 10**6
@@ -187,7 +186,3 @@ def conv_from_2d(m, filter_shape) -> np.ndarray:
         )
     return arr.reshape(w, h, z, arr.shape[1]).copy()
 
-
-def transpose(m) -> np.ndarray:
-    """Return the transpose as a fresh C-contiguous matrix."""
-    return np.ascontiguousarray(validate_matrix(m).T)

@@ -55,7 +55,6 @@ __all__ = [
     "RewireConfig",
     "attachment_scores",
     "weighted_draw_order",
-    "pa_pass",
     "pa_rewire",
     "pa_rewire_conv",
     "variance_search",
@@ -158,16 +157,6 @@ def _check_score_bound(w: np.ndarray, passes: str) -> None:
             )
 
 
-def pa_pass(m, rng: RngStream) -> np.ndarray:
-    """One input-side rewiring pass over all columns but the first.
-
-    Returns a new matrix; every column of the output is a permutation of
-    the same column of the input. Degenerate shapes (single row or single
-    column) are returned unchanged and consume no randomness.
-    """
-    return pa_rewire(m, RewireConfig(rng=rng, passes="input-only"))
-
-
 def pa_rewire(m, cfg: RewireConfig) -> np.ndarray:
     """Rewire a layer: one input-side pass, or both sides in sequence.
 
@@ -260,25 +249,18 @@ class SweepRow:
     size: int
     base_mean: float
     base_std: float
-    rewired_mean: float | None = None
-    rewired_std: float | None = None
+    rewired_mean: float
+    rewired_std: float
 
 
-def max_strength_scaling(
-    method: str,
-    sizes,
-    trials: int,
-    rng: RngStream,
-    rewire: bool = True,
-    gain: float = 1.0,
-) -> list[SweepRow]:
+def max_strength_scaling(method: str, sizes, trials: int, rng: RngStream) -> list[SweepRow]:
     """How the largest |strength| of a square n-by-n layer grows with n.
 
     For each size, `trials` layers are generated from the given stream and
-    the maximum absolute input-side strength is recorded, optionally also
-    after bidirectional rewiring of the same layers. Literature
-    initializers show a max|s| that keeps growing with size; rewiring
-    pushes it down at every size.
+    the maximum absolute input-side strength is recorded, before and after
+    bidirectional rewiring of the same layers. Literature initializers
+    show a max|s| that keeps growing with size; rewiring pushes it down at
+    every size.
     """
     sizes = [int(n) for n in sizes]
     if not sizes:
@@ -288,27 +270,21 @@ def max_strength_scaling(
     rows = []
     for n in sizes:
         base_max = np.empty(trials)
-        rew_max = np.empty(trials) if rewire else None
+        rew_max = np.empty(trials)
         for k in range(trials):
-            w = init(InitSpec(method, n, n, gain=gain), rng)
+            w = init(InitSpec(method, n, n), rng)
             base_max[k] = np.abs(w.sum(axis=1)).max()
-            if rewire:
-                r = pa_rewire(w, RewireConfig(rng=rng))
-                rew_max[k] = np.abs(r.sum(axis=1)).max()
-        if rewire:
-            rows.append(
-                SweepRow(
-                    size=n,
-                    base_mean=float(base_max.mean()),
-                    base_std=float(base_max.std()),
-                    rewired_mean=float(rew_max.mean()),
-                    rewired_std=float(rew_max.std()),
-                )
+            r = pa_rewire(w, RewireConfig(rng=rng))
+            rew_max[k] = np.abs(r.sum(axis=1)).max()
+        rows.append(
+            SweepRow(
+                size=n,
+                base_mean=float(base_max.mean()),
+                base_std=float(base_max.std()),
+                rewired_mean=float(rew_max.mean()),
+                rewired_std=float(rew_max.std()),
             )
-        else:
-            rows.append(
-                SweepRow(size=n, base_mean=float(base_max.mean()), base_std=float(base_max.std()))
-            )
+        )
     return rows
 
 
@@ -316,13 +292,10 @@ def sweep_rows_to_csv(rows) -> str:
     """Render SweepRows as the CSV the sweep CLI emits."""
     lines = ["size,base_mean,base_std,rewired_mean,rewired_std"]
     for r in rows:
-        if r.rewired_mean is None:
-            lines.append(f"{r.size},{r.base_mean:.17g},{r.base_std:.17g},,")
-        else:
-            lines.append(
-                f"{r.size},{r.base_mean:.17g},{r.base_std:.17g},"
-                f"{r.rewired_mean:.17g},{r.rewired_std:.17g}"
-            )
+        lines.append(
+            f"{r.size},{r.base_mean:.17g},{r.base_std:.17g},"
+            f"{r.rewired_mean:.17g},{r.rewired_std:.17g}"
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -34,8 +34,6 @@ __all__ = [
     "COMPARE_METRICS",
 ]
 
-VERDICTS = ("improved", "worsened", "indistinct")
-
 # (summary-record key, table label, higher is better)
 COMPARE_METRICS = (
     ("epoch1_train_acc", "ep. 1 acc.", True),
@@ -256,24 +254,21 @@ def _verdict(p: float, diff: float, higher_is_better: bool, alpha: float) -> str
 
 
 def _extract(runs, key: str) -> np.ndarray:
-    vals = []
-    for run in runs:
-        if isinstance(run, dict):
-            vals.append(run[key])
-        else:
-            vals.append(getattr(run, key))
-    return np.asarray(vals, dtype=np.float64)
+    return np.asarray([run[key] for run in runs], dtype=np.float64)
 
 
 def compare(baseline, treatment, alpha: float = 0.05) -> ComparisonReport:
     """Compare two run populations metric by metric.
 
-    `baseline` and `treatment` are sequences of run summaries (mappings or
-    objects with epoch1_train_acc, epoch1_val_acc, convergence_epoch, and
-    test_acc). Population sizes may differ (the tests are unpaired), but
-    a size mismatch is worth a warning since paired seeds are the usual
-    setup.
+    `baseline` and `treatment` are sequences of run summary dicts (as
+    written by RunMetrics.summary) with at least two runs each; each dict
+    holds epoch1_train_acc, epoch1_val_acc, convergence_epoch and
+    test_acc. `alpha` must lie in (0, 1). Population sizes may differ
+    (the tests are unpaired), but a size mismatch is worth a warning
+    since paired seeds are the usual setup.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     baseline = list(baseline)
     treatment = list(treatment)
     if len(baseline) != len(treatment):

@@ -17,7 +17,6 @@ from strength_init.initializers import METHODS, InitSpec, init
 from strength_init.rewiring import (
     RewireConfig,
     attachment_scores,
-    pa_pass,
     pa_rewire,
     pa_rewire_conv,
     weighted_draw_order,
@@ -94,7 +93,7 @@ def test_pa_rewire_conv_digest(passes):
 
 def reference_pass(m, gen):
     """Input-side pass written column by column from the module's own
-    score and draw-order functions: the definition pa_pass must match."""
+    score and draw-order functions: the definition the input-only pa_rewire must match."""
     out = np.array(m, dtype=np.float64)
     n_in, n_out = out.shape
     if n_in == 1 or n_out == 1:
@@ -115,7 +114,8 @@ def test_pa_pass_matches_reference(rows, cols):
     m = np.random.default_rng(rows * 100 + cols).normal(size=(rows, cols))
     fast = derive_stream(SEED, rows, cols)
     ref = derive_stream(SEED, rows, cols)
-    npt.assert_array_equal(pa_pass(m, fast), reference_pass(m, ref.generator))
+    out = pa_rewire(m, RewireConfig(rng=fast, passes="input-only"))
+    npt.assert_array_equal(out, reference_pass(m, ref.generator))
     # both consumed exactly the same number of draws
     assert fast.generator.random() == ref.generator.random()
 

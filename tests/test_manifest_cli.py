@@ -59,6 +59,11 @@ class TestManifest:
             ("treatment_rewire", "magic"),
             ("init_method", "he-uniform"),
             ("arch", [784]),
+            ("momentum", 1.5),
+            ("lr0", 0),
+            ("epochs", 0),
+            ("alpha", 0.0),
+            ("alpha", 5),
         ],
     )
     def test_bad_field_rejected_at_load(self, tmp_path, field, value):
@@ -68,6 +73,15 @@ class TestManifest:
         with pytest.raises(ValueError):
             ExperimentManifest.from_json(json.dumps(doc))
         assert not (tmp_path / "out").exists()
+
+    def test_treatment_with_one_repetition_rejected_at_load(self, tmp_path):
+        doc = {"dataset": "mnist", "arch": [4, 2], "out_dir": str(tmp_path / "out"),
+               "data_dir": str(tmp_path / "no-data"), "treatment_rewire": "pa",
+               "repetitions": 1}
+        with pytest.raises(ValueError, match="repetitions >= 2"):
+            ExperimentManifest.from_json(json.dumps(doc))
+        doc["treatment_rewire"] = None
+        assert ExperimentManifest.from_json(json.dumps(doc)).repetitions == 1
 
     def test_smoke_run_outputs(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -277,3 +291,28 @@ class TestCli:
         mpath = tmp_path / "m.json"
         mpath.write_text("{broken")
         assert main(["run", "--manifest", str(mpath)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("field, value", [("arch", 784), ("repetitions", "ten")])
+    def test_run_manifest_wrong_type_is_data_error(self, tmp_path, capsys, field, value):
+        mpath = tmp_path / "m.json"
+        doc = {"dataset": "mnist", "arch": [4, 2], "out_dir": str(tmp_path / "out"),
+               "data_dir": str(tmp_path / "no-data"), field: value}
+        mpath.write_text(json.dumps(doc))
+        assert main(["run", "--manifest", str(mpath)]) == EXIT_DATA
+        assert "manifest" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_alpha_outside_unit_interval_is_data_error(self, tmp_path):
+        dirs = []
+        for arm, acc in (("base", 90.0), ("treat", 95.0)):
+            d = tmp_path / arm
+            d.mkdir()
+            for r in range(3):
+                summary = {"type": "summary", "repetition": r, "epoch1_train_acc": acc + r,
+                           "epoch1_val_acc": acc - r, "convergence_epoch": 2 + r,
+                           "test_acc": acc + 0.5 * r}
+                (d / f"rep_{r:03d}.jsonl").write_text(json.dumps(summary) + "\n")
+            dirs.append(str(d))
+        args = ["compare", "--baseline", dirs[0], "--treatment", dirs[1], "--out", str(tmp_path / "c.md")]
+        assert main(args) == EXIT_OK
+        assert main(args + ["--alpha", "5"]) == EXIT_DATA

@@ -13,7 +13,6 @@ from strength_init.matrix_io import (
     load_matrix_csv,
     save_matrix,
     save_matrix_csv,
-    transpose,
     validate_matrix,
 )
 from strength_init.rng import derive_stream
@@ -156,20 +155,6 @@ class TestConvReshape:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             conv_from_2d(np.zeros((5, 2)), (2, 2, 2))
-
-
-class TestTranspose:
-    def test_entries_move(self):
-        m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        t = transpose(m)
-        assert t.shape == (3, 2)
-        for i in range(2):
-            for x in range(3):
-                assert t[x, i] == m[i, x]
-
-    def test_involution(self, rng):
-        m = rng.normal(size=(6, 9))
-        npt.assert_array_equal(transpose(transpose(m)), m)
 
 
 class TestValidate:

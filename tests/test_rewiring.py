@@ -11,7 +11,6 @@ from strength_init.rewiring import (
     RewireConfig,
     attachment_scores,
     fit_loglog_slope,
-    pa_pass,
     pa_rewire,
     pa_rewire_conv,
     rewire_cost_probe,
@@ -103,45 +102,48 @@ class TestWeightedDrawOrder:
 class TestPaPass:
     def test_single_output_column_unchanged(self, stream, rng):
         m = rng.normal(size=(6, 1))
-        out = pa_pass(m, stream)
+        out = pa_rewire(m, RewireConfig(rng=stream, passes="input-only"))
         npt.assert_array_equal(out, m)
 
     def test_single_input_row_unchanged(self, stream, rng):
         m = rng.normal(size=(1, 6))
-        out = pa_pass(m, stream)
+        out = pa_rewire(m, RewireConfig(rng=stream, passes="input-only"))
         npt.assert_array_equal(out, m)
 
     def test_constant_column_unchanged(self, stream):
         m = np.array([[1.0, 5.0], [-2.0, 5.0], [0.5, 5.0]])
-        out = pa_pass(m, stream)
+        out = pa_rewire(m, RewireConfig(rng=stream, passes="input-only"))
         npt.assert_array_equal(out[:, 1], m[:, 1])
 
     def test_first_column_never_modified(self, rng):
         m = rng.normal(size=(20, 30))
-        out = pa_pass(m, derive_stream(5, 0, 0))
+        out = pa_rewire(m, RewireConfig(rng=derive_stream(5, 0, 0), passes="input-only"))
         npt.assert_array_equal(out[:, 0], m[:, 0])
 
     def test_columns_are_permutations(self, rng):
         m = rng.normal(size=(25, 40))
-        out = pa_pass(m, derive_stream(6, 0, 0))
+        out = pa_rewire(m, RewireConfig(rng=derive_stream(6, 0, 0), passes="input-only"))
         for t in range(40):
             npt.assert_array_equal(np.sort(out[:, t]), np.sort(m[:, t]))
 
     def test_input_not_mutated(self, rng):
         m = rng.normal(size=(10, 10))
         copy = m.copy()
-        pa_pass(m, derive_stream(7, 0, 0))
+        pa_rewire(m, RewireConfig(rng=derive_stream(7, 0, 0), passes="input-only"))
         npt.assert_array_equal(m, copy)
 
     def test_deterministic(self, rng):
         m = rng.normal(size=(15, 15))
-        a = pa_pass(m, derive_stream(8, 1, 2))
-        b = pa_pass(m, derive_stream(8, 1, 2))
+        a = pa_rewire(m, RewireConfig(rng=derive_stream(8, 1, 2), passes="input-only"))
+        b = pa_rewire(m, RewireConfig(rng=derive_stream(8, 1, 2), passes="input-only"))
         npt.assert_array_equal(a, b)
 
     def test_non_finite_rejected(self, stream):
         with pytest.raises(NonFiniteError):
-            pa_pass(np.array([[1.0, np.nan], [0.0, 2.0]]), stream)
+            pa_rewire(
+                np.array([[1.0, np.nan], [0.0, 2.0]]),
+                RewireConfig(rng=stream, passes="input-only"),
+            )
 
     def test_three_by_two_draw_order_distribution(self):
         # hand-traceable case: strengths after the seed column are
@@ -162,7 +164,7 @@ class TestPaPass:
         n = 30000
         counts = {k: 0 for k in exact}
         for rep in range(n):
-            out = pa_pass(m, derive_stream(1234, 0, rep))
+            out = pa_rewire(m, RewireConfig(rng=derive_stream(1234, 0, rep), passes="input-only"))
             order = tuple(int(np.flatnonzero(out[:, 1] == v)[0]) for v in sorted_vals)
             counts[order] += 1
         for perm, prob in exact.items():
@@ -198,8 +200,8 @@ class TestPaRewire:
         m = rng.normal(size=(9, 13))
         out = pa_rewire(m, RewireConfig(rng=derive_stream(3, 0, 0), passes="bidirectional"))
         stream = derive_stream(3, 0, 0)
-        step1 = pa_pass(m, stream)
-        step2 = pa_pass(step1.T, stream).T
+        step1 = pa_rewire(m, RewireConfig(rng=stream, passes="input-only"))
+        step2 = pa_rewire(step1.T, RewireConfig(rng=stream, passes="input-only")).T
         npt.assert_array_equal(out, step2)
 
     def test_strength_collapse_both_sides(self):

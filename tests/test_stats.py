@@ -251,6 +251,13 @@ class TestCompare:
         with pytest.warns(UserWarning, match="population sizes differ"):
             compare(base, treat)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.05])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        gen = np.random.default_rng(8)
+        base = _population(gen, 97.0, 0.1, 15.0, n=5)
+        with pytest.raises(ValueError, match="alpha"):
+            compare(base, base, alpha=alpha)
+
     def test_report_renderings(self):
         gen = np.random.default_rng(7)
         base = _population(gen, 97.0, 0.1, 15.0, n=30)

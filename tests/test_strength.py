@@ -150,20 +150,15 @@ class TestMaxStrengthSweep:
         rows = max_strength_scaling("kaiming-uniform", [32], 5, derive_stream(1, 0, 0))
         assert len(rows) == 1
         assert rows[0].size == 32
-        assert rows[0].rewired_mean is not None
+        lines = sweep_rows_to_csv(rows).splitlines()
+        assert lines[0] == "size,base_mean,base_std,rewired_mean,rewired_std"
+        assert len(lines) == 2 and all(cell for cell in lines[1].split(","))
 
     def test_growth_and_suppression(self):
         rows = max_strength_scaling("kaiming-uniform", [64, 256], 20, derive_stream(2, 0, 0))
         assert rows[0].base_mean < rows[1].base_mean
         for r in rows:
             assert r.rewired_mean < r.base_mean
-
-    def test_no_rewire_mode(self):
-        rows = max_strength_scaling("kaiming-normal", [16, 32], 3, derive_stream(3, 0, 0), rewire=False)
-        assert all(r.rewired_mean is None for r in rows)
-        csv = sweep_rows_to_csv(rows)
-        assert csv.splitlines()[0] == "size,base_mean,base_std,rewired_mean,rewired_std"
-        assert csv.splitlines()[1].endswith(",,")
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError):
