@@ -6,7 +6,7 @@ Initializers scale their sampling interval with layer size, yet the
 maximum absolute strength keeps growing as layers get wider: the tails of
 a sum of n random variables widen with n. Rewiring suppresses the maximum
 at every size. This reproduces the size sweep as a small table (writes
-max_strength_scaling.csv next to this script).
+max_strength_scaling.csv to the current working directory).
 """
 
 from pathlib import Path

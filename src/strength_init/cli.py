@@ -19,20 +19,13 @@ from . import __version__
 from .dataset import IdxError
 from .initializers import METHODS, InitSpec, init
 from .manifest import ExperimentManifest, read_run_dir, run_manifest
-from .matrix_io import (
-    MatrixIOError,
-    conv_from_2d,
-    conv_to_2d,
-    load_matrix,
-    save_matrix,
-)
+from .matrix_io import MatrixIOError, load_matrix, save_matrix
 from .rewiring import (
     PASS_MODES,
     RewireConfig,
     fit_loglog_slope,
     max_strength_scaling,
     pa_rewire,
-    pa_rewire_conv,
     rewire_cost_probe,
     sweep_rows_to_csv,
 )
@@ -83,13 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--passes", choices=PASS_MODES, default="bidirectional")
-    p.add_argument(
-        "--conv",
-        type=_int_list,
-        default=None,
-        metavar="W,H,Z,O",
-        help="treat the payload as a (w,h,z,o) filter bank reshaped to 2-D",
-    )
     _add_stream_args(p)
 
     p = sub.add_parser("analyze", help="strength statistics of a WMAT file")
@@ -118,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--lr0", type=float, default=0.01)
     p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-grad-log", action="store_true")
     p.add_argument("--out", required=True, help="directory for rep_*.jsonl and summary.json")
     _add_stream_args(p)
@@ -162,20 +147,7 @@ def _cmd_init(args) -> int:
 def _cmd_rewire(args) -> int:
     w = load_matrix(args.infile)
     cfg = RewireConfig(rng=derive_stream(args.seed, args.layer, args.rep), passes=args.passes)
-    if args.conv is not None:
-        if len(args.conv) != 4:
-            raise _UsageError("--conv needs four comma-separated dims w,h,z,o")
-        cw, ch, cz, co = args.conv
-        if w.shape != (cw * ch * cz, co):
-            raise MatrixIOError(
-                f"{args.infile}: shape {w.shape} does not match conv dims "
-                f"({cw}*{ch}*{cz}, {co})"
-            )
-        tensor = conv_from_2d(w, (cw, ch, cz))
-        out = conv_to_2d(pa_rewire_conv(tensor, cfg))
-    else:
-        out = pa_rewire(w, cfg)
-    save_matrix(out, args.out)
+    save_matrix(pa_rewire(w, cfg), args.out)
     return EXIT_OK
 
 
@@ -212,7 +184,6 @@ def _cmd_train(args) -> int:
         lr0=args.lr0,
         momentum=args.momentum,
         data_dir=args.data_dir,
-        jobs=args.jobs,
         log_gradients=not args.no_grad_log,
     )
     # the single arm lands directly in --out/baseline
@@ -267,9 +238,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"strength-init: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except TrainingDivergedError as exc:
         print(f"strength-init: training diverged: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

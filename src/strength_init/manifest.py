@@ -7,13 +7,16 @@ per epoch plus a final summary record), a merged summary per arm, CSV
 curve bundles for plotting, and, when both a baseline and a treatment
 arm are declared, a statistical comparison report. Re-running the same
 manifest on the same platform reproduces every output byte for byte.
+
+Each arm trains as one lock-step population (training.train_population);
+its only parallelism is the BLAS threads inside the population's matmuls.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -22,7 +25,7 @@ import numpy as np
 from .dataset import load_named_dataset, split
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import compare
-from .training import MlpArch, RunMetrics, TrainConfig, train_population
+from .training import MlpArch, TrainConfig, train_population
 
 __all__ = ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir", "resolve_data_dir"]
 
@@ -48,14 +51,20 @@ class ExperimentManifest:
     momentum: float = 0.9
     data_dir: str | None = None
     alpha: float = 0.05
-    jobs: int = 1
+    jobs: int = 1  # must be 1; kept only because the benchmark passes jobs=1
     log_gradients: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "arch", tuple(int(s) for s in self.arch))
-        # fail at load time, not after the dataset is read or inside a worker:
-        # each declared arm's TrainConfig checks arch, init, rewire and schedule
+        # fail at load time, not after the dataset is read: each declared
+        # arm's TrainConfig checks arch, init, rewire and schedule
         self.train_config(self.baseline_rewire, 0)
+        try:
+            operator.index(self.repetitions)  # numpy integers pass, 1.5 does not
+        except TypeError:
+            raise ValueError(
+                f"manifest field repetitions must be an integer, got {self.repetitions!r}"
+            ) from None
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.treatment_rewire is not None:
@@ -64,8 +73,8 @@ class ExperimentManifest:
                 raise ValueError("comparing a treatment arm needs repetitions >= 2")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if self.jobs != 1:
+            raise ValueError(f"jobs must be 1 (an arm trains as one population), got {self.jobs}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
@@ -126,60 +135,18 @@ def _prepare_data(manifest: ExperimentManifest):
     return train_ds, val_ds, test_ds
 
 
-# Worker-side cache so a process pool loads and splits the dataset once
-# per worker instead of once per repetition.
-_worker_state: dict = {}
-
-
-def _worker_init(manifest_doc: dict) -> None:
-    manifest = ExperimentManifest(**manifest_doc)
-    _worker_state["manifest"] = manifest
-    _worker_state["data"] = _prepare_data(manifest)
-
-
-def _worker_run(args) -> list[dict]:
-    rewire, reps = args
-    return _train_docs(_worker_state["manifest"], rewire, reps, _worker_state["data"])
-
-
-def _train_docs(manifest: ExperimentManifest, rewire: str, reps, data) -> list[dict]:
-    """Train repetitions `reps` of one arm as one population."""
-    cfgs = [manifest.train_config(rewire, r) for r in reps]
-    return [_metrics_doc(m) for m in train_population(cfgs, *data)]
-
-
-def _metrics_doc(metrics: RunMetrics) -> dict:
-    return {"records": metrics.epoch_records(), "summary": metrics.summary()}
-
-
-def _write_rep_file(path: Path, doc: dict) -> None:
-    with open(path, "w") as f:
-        for rec in doc["records"]:
-            f.write(json.dumps(rec) + "\n")
-        f.write(json.dumps(doc["summary"]) + "\n")
-
-
 def _run_population(manifest: ExperimentManifest, rewire: str, arm_dir: Path, data) -> list[dict]:
-    """Train one arm as one population, or with jobs > 1 as one contiguous
-    chunk of repetitions per worker, and write its files."""
+    """Train one arm as one population and write its files."""
     arm_dir.mkdir(parents=True, exist_ok=True)
-    reps = list(range(manifest.repetitions))
-    if manifest.jobs > 1:
-        k = min(manifest.jobs, len(reps))
-        bounds = [len(reps) * i // k for i in range(k + 1)]
-        chunks = [reps[a:b] for a, b in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(
-            max_workers=k,
-            initializer=_worker_init,
-            initargs=(asdict(manifest),),
-        ) as pool:
-            docs = [doc for part in pool.map(_worker_run, [(rewire, c) for c in chunks]) for doc in part]
-    else:
-        docs = _train_docs(manifest, rewire, reps, data)
+    cfgs = [manifest.train_config(rewire, r) for r in range(manifest.repetitions)]
     summaries = []
-    for r, doc in zip(reps, docs):
-        _write_rep_file(arm_dir / f"rep_{r:03d}.jsonl", doc)
-        summaries.append(doc["summary"])
+    for metrics in train_population(cfgs, *data):
+        summary = metrics.summary()
+        with open(arm_dir / f"rep_{metrics.repetition_index:03d}.jsonl", "w") as f:
+            for rec in metrics.epoch_records():
+                f.write(json.dumps(rec) + "\n")
+            f.write(json.dumps(summary) + "\n")
+        summaries.append(summary)
     _write_arm_summary(arm_dir / "summary.json", rewire, summaries)
     plot_export(arm_dir)
     return summaries
@@ -208,7 +175,7 @@ def run_manifest(manifest: ExperimentManifest) -> int:
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(manifest.to_json())
-    data = _prepare_data(manifest) if manifest.jobs == 1 else None
+    data = _prepare_data(manifest)
 
     base_summaries = _run_population(manifest, manifest.baseline_rewire, out_dir / "baseline", data)
     if manifest.treatment_rewire is not None:

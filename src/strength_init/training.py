@@ -35,6 +35,7 @@ member's loss is non-finite, naming the lowest such repetition.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +130,12 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.lr0 <= 0.0:
             raise ValueError(f"lr0 must be > 0, got {self.lr0}")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)  # numpy integers pass, 2.5 does not
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         parse_rewire_mode(self.rewire)

@@ -14,7 +14,7 @@ from strength_init.manifest import (
     resolve_data_dir,
     run_manifest,
 )
-from strength_init.matrix_io import load_matrix, save_matrix
+from strength_init.matrix_io import load_matrix
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,9 @@ class TestManifest:
             ("momentum", 1.5),
             ("lr0", 0),
             ("epochs", 0),
+            ("epochs", 2.5),
+            ("batch_size", 32.5),
+            ("repetitions", 1.5),
             ("alpha", 0.0),
             ("alpha", 5),
         ],
@@ -126,17 +129,20 @@ class TestManifest:
         ]:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
-    def test_jobs_pool_matches_sequential(self, data_dir, tmp_path):
-        # three repetitions over two workers: chunks of one and two
-        out1, out2 = tmp_path / "seq", tmp_path / "par"
-        run_manifest(tiny_manifest(data_dir, out1, jobs=1, treatment_rewire="pa", repetitions=3))
-        run_manifest(tiny_manifest(data_dir, out2, jobs=2, treatment_rewire="pa", repetitions=3))
-        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
-        assert len([f for f in files if f.name.startswith("rep_")]) == 6
-        for rel in files:
-            if rel.name != "manifest.json":  # records jobs
-                assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+    def test_jobs_other_than_one_rejected_at_load(self, tmp_path):
+        # an arm trains as one population; there is no worker pool to size
+        doc = {"dataset": "mnist", "arch": [4, 2], "out_dir": str(tmp_path / "out"),
+               "data_dir": str(tmp_path / "no-data"), "jobs": 2}
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            ExperimentManifest.from_json(json.dumps(doc))
+        assert not (tmp_path / "out").exists()
+        doc["jobs"] = 1
+        assert ExperimentManifest.from_json(json.dumps(doc)).jobs == 1
+
+    def test_numpy_integer_counts_accepted(self, tmp_path):
+        m = tiny_manifest(tmp_path / "no-data", tmp_path / "out", repetitions=np.int64(3),
+                          epochs=np.int32(2), batch_size=np.int64(32))
+        assert m.repetitions == 3
 
     def test_plot_export_empty_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -188,26 +194,6 @@ class TestCli:
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_conv_rewire(self, tmp_path, rng):
-        t = rng.normal(size=(3, 3, 2, 4))
-        flat = t.reshape(18, 4)
-        w_path, r_path = tmp_path / "c.wmat", tmp_path / "c_pa.wmat"
-        save_matrix(flat, w_path)
-        assert main([
-            "rewire", "--in", str(w_path), "--out", str(r_path),
-            "--conv", "3,3,2,4", "--seed", "1",
-        ]) == EXIT_OK
-        out = load_matrix(r_path)
-        npt.assert_array_equal(np.sort(out, axis=None), np.sort(flat, axis=None))
-
-    def test_conv_dims_mismatch(self, tmp_path, rng):
-        w_path = tmp_path / "c.wmat"
-        save_matrix(rng.normal(size=(10, 4)), w_path)
-        assert main([
-            "rewire", "--in", str(w_path), "--out", str(tmp_path / "o.wmat"),
-            "--conv", "3,3,2,4",
-        ]) == EXIT_DATA
-
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main([
@@ -227,6 +213,10 @@ class TestCli:
     def test_usage_errors(self):
         assert main(["analyze"]) == EXIT_USAGE
         assert main(["rewire", "--in", "x", "--out", "y", "--passes", "zigzag"]) == EXIT_USAGE
+        # no --conv (a bank's 2-D form rewires the same) and no --jobs (no pool)
+        assert main(["rewire", "--in", "x", "--out", "y", "--conv", "3,3,2,4"]) == EXIT_USAGE
+        assert main(["train", "--arch", "4,2", "--dataset", "mnist", "--out", "o",
+                     "--jobs", "2"]) == EXIT_USAGE
 
     def test_every_subcommand_accepts_stream_args(self):
         from strength_init.cli import build_parser
@@ -292,7 +282,9 @@ class TestCli:
         mpath.write_text("{broken")
         assert main(["run", "--manifest", str(mpath)]) == EXIT_DATA
 
-    @pytest.mark.parametrize("field, value", [("arch", 784), ("repetitions", "ten")])
+    @pytest.mark.parametrize(
+        "field, value", [("arch", 784), ("repetitions", "ten"), ("repetitions", 1.5)]
+    )
     def test_run_manifest_wrong_type_is_data_error(self, tmp_path, capsys, field, value):
         mpath = tmp_path / "m.json"
         doc = {"dataset": "mnist", "arch": [4, 2], "out_dir": str(tmp_path / "out"),

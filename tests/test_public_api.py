@@ -1,17 +1,20 @@
 """The top-level export list is exactly what the README tour and the demos
 import from ``strength_init``; every other name comes from its module.
 
-The demos and the README's python blocks are parsed, not run.
+The demos and the README's python blocks are parsed, not run; so are the
+README's ``strength-init`` command lines, against the CLI's own parser.
 """
 
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import strength_init
+from strength_init.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]
@@ -51,3 +54,22 @@ def test_top_level_exports_are_what_the_tour_and_demos_import():
     top = {name for _, module, name in IMPORTS if module == "strength_init"}
     assert set(strength_init.__all__) - {"__version__"} == top
     assert "__version__" in strength_init.__all__
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text()
+    bash = "\n".join(re.findall(r"^```bash\n(.*?)^```", text, re.S | re.M))
+    lines = bash.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("strength-init ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_has_cli_examples():
+    assert {argv[1] for argv in README_COMMANDS} >= {"init", "rewire", "train", "run"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[1])
+def test_readme_command_parses(argv):
+    build_parser().parse_args(argv[1:])

@@ -253,6 +253,19 @@ class TestPaRewireConv:
         assert not np.shares_memory(out, t)
         assert not np.array_equal(out, t)
 
+    @pytest.mark.parametrize("passes", PASS_MODES)
+    def test_bit_identical_to_2d_rewire(self, rng, passes):
+        # a bank rewires exactly as its (w*h*z, o) WMAT form does on the same stream
+        bank = rng.normal(size=(3, 3, 32, 64))
+
+        def cfg():
+            return RewireConfig(rng=derive_stream(9, 0, 0), passes=passes)
+
+        a = conv_to_2d(pa_rewire_conv(bank, cfg()))
+        b = pa_rewire(conv_to_2d(bank), cfg())
+        assert a.shape == (288, 64)
+        assert a.tobytes() == b.tobytes()
+
     def test_strength_variance_reduced(self, rng):
         t = rng.normal(scale=np.sqrt(2.0 / 144), size=(3, 3, 16, 32))
         cfg = RewireConfig(rng=derive_stream(6, 0, 0))
