@@ -1,7 +1,8 @@
 """Command-line pipeline: initialize, rewire, analyze, train, compare.
 
-Every subcommand is seedable through --seed/--layer/--rep and goes through
-the derive_stream contract, so any single artifact (a layer file, a sweep
+Every subcommand that draws random numbers (init, rewire, sweep, train,
+cost) is seedable through --seed/--layer/--rep and goes through the
+derive_stream contract, so any single artifact (a layer file, a sweep
 table, a training run) can be regenerated in isolation.
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
@@ -83,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("input", "output"), default="input")
     p.add_argument("--json", action="store_true", help="emit the stats as a JSON object")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
-    _add_stream_args(p)
 
     p = sub.add_parser("sweep", help="max-strength scaling table across layer sizes (CSV)")
     p.add_argument("--method", choices=METHODS, default="kaiming-uniform")
@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--format", choices=("md", "json", "csv"), default="md")
     p.add_argument("--out", default=None)
-    _add_stream_args(p)
 
     p = sub.add_parser("cost", help="wall-time scaling probe of the rewiring pass")
     p.add_argument("--sizes", type=_int_list, default=[256, 512, 1024, 2048, 4096])
@@ -125,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute an experiment manifest")
     p.add_argument("--manifest", required=True)
-    _add_stream_args(p)
 
     return parser
 

@@ -3,8 +3,12 @@
 The IDX container stores big-endian int32 header fields followed by a
 uint8 payload: images carry magic 0x00000803 and (count, rows, cols),
 labels carry magic 0x00000801 and (count,). Files may be plain or
-gzip-compressed (detected by the .gz suffix). Pixels are scaled to
-[0, 1] as float64 and flattened; labels stay integer class ids.
+gzip-compressed (detected by the .gz suffix). Pixels are flattened;
+load_named_pixels keeps them uint8 and scale_pixels turns a part into
+float64 in [0, 1] with one allocation. An experiment splits the uint8
+training pixels and scales the parts after the split, so the training
+pixels are held in float64 once (load_idx and load_named_dataset scale
+on load). Labels stay integer class ids.
 
 The experiment protocol holds out a validation set sampled once from the
 training set (same size as the test set); the split is a function of the
@@ -35,7 +39,9 @@ __all__ = [
     "write_idx_labels",
     "split",
     "dataset_paths",
+    "load_named_pixels",
     "load_named_dataset",
+    "scale_pixels",
 ]
 
 IMAGE_MAGIC = 0x00000803
@@ -65,9 +71,9 @@ class IdxCountMismatchError(IdxError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Flat features in [0, 1] plus integer labels."""
+    """Flat features plus integer labels."""
 
-    features: np.ndarray  # (n, d) float64
+    features: np.ndarray  # (n, d) uint8 pixels, or float64 in [0, 1] once scaled
     labels: np.ndarray    # (n,) int64
 
     def __post_init__(self):
@@ -157,8 +163,8 @@ def _open_w(path):
     return open(path, "wb")
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Load an image/label IDX pair into flat [0, 1] features."""
+def _load_idx_pixels(images_path, labels_path) -> Dataset:
+    """Load an image/label IDX pair into flat uint8 pixel features."""
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
@@ -166,8 +172,20 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{images_path} has {images.shape[0]} images but "
             f"{labels_path} has {labels.shape[0]} labels"
         )
-    feats = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    return Dataset(feats, labels.astype(np.int64))
+    return Dataset(images.reshape(images.shape[0], -1), labels.astype(np.int64))
+
+
+def scale_pixels(dataset: Dataset) -> Dataset:
+    """The same samples with uint8 pixels scaled to float64 in [0, 1].
+
+    One allocation; the bits equal those of astype(np.float64) / 255.0.
+    """
+    return Dataset(np.divide(dataset.features, 255.0, dtype=np.float64), dataset.labels)
+
+
+def load_idx(images_path, labels_path) -> Dataset:
+    """Load an image/label IDX pair into flat [0, 1] features."""
+    return scale_pixels(_load_idx_pixels(images_path, labels_path))
 
 
 def split(dataset: Dataset, test_size: int, rng) -> tuple[Dataset, Dataset]:
@@ -215,9 +233,15 @@ def dataset_paths(data_dir, name: str) -> dict[str, Path]:
     return out
 
 
+def load_named_pixels(data_dir, name: str) -> tuple[Dataset, Dataset]:
+    """Load (train, test) for a named dataset with flat uint8 pixel features."""
+    paths = dataset_paths(data_dir, name)
+    train = _load_idx_pixels(paths["train_images"], paths["train_labels"])
+    test = _load_idx_pixels(paths["test_images"], paths["test_labels"])
+    return train, test
+
+
 def load_named_dataset(data_dir, name: str) -> tuple[Dataset, Dataset]:
     """Load (train, test) for a named dataset from IDX files on disk."""
-    paths = dataset_paths(data_dir, name)
-    train = load_idx(paths["train_images"], paths["train_labels"])
-    test = load_idx(paths["test_images"], paths["test_labels"])
-    return train, test
+    train, test = load_named_pixels(data_dir, name)
+    return scale_pixels(train), scale_pixels(test)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_named_dataset, split
+from .dataset import load_named_pixels, scale_pixels, split
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import compare
 from .training import MlpArch, TrainConfig, train_population
@@ -56,15 +56,17 @@ class ExperimentManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "arch", tuple(int(s) for s in self.arch))
+        # stored as plain ints so to_json can write them; numpy integers
+        # pass, 1.5 does not
+        for name in ("repetitions", "epochs", "batch_size", "global_seed", "jobs"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"manifest field {name} must be an integer, got {value!r}") from None
         # fail at load time, not after the dataset is read: each declared
         # arm's TrainConfig checks arch, init, rewire and schedule
         self.train_config(self.baseline_rewire, 0)
-        try:
-            operator.index(self.repetitions)  # numpy integers pass, 1.5 does not
-        except TypeError:
-            raise ValueError(
-                f"manifest field repetitions must be an integer, got {self.repetitions!r}"
-            ) from None
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.treatment_rewire is not None:
@@ -128,11 +130,17 @@ def resolve_data_dir(explicit=None) -> Path:
 
 
 def _prepare_data(manifest: ExperimentManifest):
+    """(train, validation, test) with float64 features in [0, 1].
+
+    The split runs on the uint8 pixels, so only the three scaled parts
+    are ever held in float64.
+    """
     data_dir = resolve_data_dir(manifest.data_dir)
-    train_full, test_ds = load_named_dataset(data_dir, manifest.dataset)
+    train_full, test_pixels = load_named_pixels(data_dir, manifest.dataset)
     split_gen = harness_generator(manifest.global_seed, SPLIT_DOMAIN)
-    train_ds, val_ds = split(train_full, test_ds.n, split_gen)
-    return train_ds, val_ds, test_ds
+    train_pixels, val_pixels = split(train_full, test_pixels.n, split_gen)
+    del train_full
+    return tuple(scale_pixels(part) for part in (train_pixels, val_pixels, test_pixels))
 
 
 def _run_population(manifest: ExperimentManifest, rewire: str, arm_dir: Path, data) -> list[dict]:

@@ -10,7 +10,8 @@ is better). Differences with p >= alpha are labelled indistinct.
 
 The test statistics are computed here from their defining formulas;
 only the reference distributions (Student t, chi-square) come from
-scipy.special.
+scipy.special, which is imported on first use: importing the package
+and every command that computes no p-value load numpy alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import warnings
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "welch_t_test",
@@ -54,6 +54,8 @@ def _clean_sample(a, name: str, min_size: int) -> np.ndarray:
 
 def _t_sf(t: float, df: float) -> float:
     """P(T > t) for Student t with df degrees of freedom."""
+    from scipy import special
+
     return float(special.stdtr(df, -t))
 
 
@@ -100,6 +102,8 @@ def kruskal_wallis(a, b) -> tuple[float, float]:
     p comes from the chi-square distribution with one degree of freedom.
     Fully tied data (every value equal) gives (0, 1) by convention.
     """
+    from scipy import special
+
     x = _clean_sample(a, "a", 2)
     y = _clean_sample(b, "b", 2)
     n = x.size + y.size

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -7,14 +8,17 @@ import pytest
 from helpers import make_synthetic_mnist
 
 from strength_init.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from strength_init.dataset import load_named_dataset, split
 from strength_init.manifest import (
     ExperimentManifest,
+    _prepare_data,
     plot_export,
     read_run_dir,
     resolve_data_dir,
     run_manifest,
 )
 from strength_init.matrix_io import load_matrix
+from strength_init.rng import SPLIT_DOMAIN, harness_generator
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +145,33 @@ class TestManifest:
 
     def test_numpy_integer_counts_accepted(self, tmp_path):
         m = tiny_manifest(tmp_path / "no-data", tmp_path / "out", repetitions=np.int64(3),
-                          epochs=np.int32(2), batch_size=np.int64(32))
+                          epochs=np.int32(2), batch_size=np.int64(32),
+                          global_seed=np.int64(3), jobs=np.int64(1))
         assert m.repetitions == 3
+        again = ExperimentManifest.from_json(m.to_json())
+        assert again == m
+
+    def test_prepare_data_scales_after_split(self, tmp_path):
+        n_train, n_test, side = 6000, 1000, 16
+        root = make_synthetic_mnist(tmp_path / "data", n_train=n_train, n_test=n_test, side=side)
+        m = tiny_manifest(root, tmp_path / "out", arch=(side * side, 8, 10))
+        tracemalloc.start()
+        try:
+            parts = _prepare_data(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the same data as scaling on load and splitting the float64 set
+        train_full, test = load_named_dataset(root, "mnist")
+        split_gen = harness_generator(m.global_seed, SPLIT_DOMAIN)
+        for got, want in zip(parts, (*split(train_full, test.n, split_gen), test), strict=True):
+            assert got.features.dtype == want.features.dtype == np.float64
+            assert got.labels.dtype == want.labels.dtype
+            assert np.array_equal(got.features, want.features)
+            assert np.array_equal(got.labels, want.labels)
+        # the training pixels are never held in float64 twice
+        raw_pixel_bytes = (n_train + n_test) * side * side
+        assert peak <= sum(p.features.nbytes for p in parts) + 2 * raw_pixel_bytes
 
     def test_plot_export_empty_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -217,20 +246,19 @@ class TestCli:
         assert main(["rewire", "--in", "x", "--out", "y", "--conv", "3,3,2,4"]) == EXIT_USAGE
         assert main(["train", "--arch", "4,2", "--dataset", "mnist", "--out", "o",
                      "--jobs", "2"]) == EXIT_USAGE
+        # compare draws no random numbers, so it takes no seed
+        assert main(["compare", "--baseline", "b", "--treatment", "t", "--seed", "1"]) == EXIT_USAGE
 
-    def test_every_subcommand_accepts_stream_args(self):
+    def test_seeded_subcommands_accept_stream_args(self):
         from strength_init.cli import build_parser
 
         parser = build_parser()
         stubs = {
             "init": ["--method", "kaiming-uniform", "--rows", "2", "--cols", "2", "--out", "o"],
             "rewire": ["--in", "i", "--out", "o"],
-            "analyze": ["--in", "i"],
             "sweep": [],
             "train": ["--arch", "4,2", "--dataset", "mnist", "--out", "o"],
-            "compare": ["--baseline", "b", "--treatment", "t"],
             "cost": [],
-            "run": ["--manifest", "m"],
         }
         for cmd, extra in stubs.items():
             args = parser.parse_args([cmd, *extra, "--seed", "9", "--layer", "1", "--rep", "2"])

@@ -1,7 +1,13 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
 
+import strength_init
 from strength_init.stats import (
     compare,
     kruskal_wallis,
@@ -271,3 +277,33 @@ class TestCompare:
         assert len(csv.splitlines()) == 5
         js = report.to_json()
         assert '"alpha": 0.05' in js
+
+    def test_scipy_loads_on_first_p_value(self):
+        # a fresh interpreter: importing the package and its CLI loads no
+        # scipy module; the first comparison loads it and gives the report
+        # this process (scipy already loaded) gives
+        probe = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import strength_init, strength_init.cli\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "base, treat = json.load(sys.stdin)\n"
+            "report = strength_init.stats.compare(base, treat).to_json()\n"
+            "print(json.dumps([loaded, 'scipy.special' in sys.modules, report]))\n"
+        )
+        gen = np.random.default_rng(9)
+        base = _population(gen, 97.0, 0.1, 15.0, n=12)
+        treat = _population(gen, 97.2, 0.1, 14.0, n=12)
+        src = Path(strength_init.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(src)],
+            input=json.dumps([base, treat]),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        loaded, special_after, report = json.loads(done.stdout)
+        assert loaded == []
+        assert special_after
+        assert report == compare(base, treat).to_json()
