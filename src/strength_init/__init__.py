@@ -4,7 +4,7 @@ measure the effect.
 
 The package is organized around plain float64 numpy arrays:
 
-- ``matrix_io``     weight-matrix representation, WMAT/CSV serialization,
+- ``matrix_io``     weight-matrix representation, WMAT serialization,
                     conv filter-bank reshaping
 - ``rng``           deterministic per-(layer, repetition) random streams
 - ``initializers``  the literature weight initializers

@@ -1,9 +1,11 @@
 """Command-line pipeline: initialize, rewire, analyze, train, compare.
 
 Every subcommand that draws random numbers (init, rewire, sweep, train,
-cost) is seedable through --seed/--layer/--rep and goes through the
-derive_stream contract, so any single artifact (a layer file, a sweep
-table, a training run) can be regenerated in isolation.
+cost) is seedable through --seed. init, rewire and sweep draw from one
+derive_stream(seed, layer, rep) stream and also take --layer/--rep;
+train and cost derive every stream they use from the seed. So any single
+artifact (a layer file, a sweep table, a training run) can be regenerated
+in isolation.
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
 files, bad configuration values), 3 numeric failure (training diverged).
@@ -46,12 +48,21 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # options are spelled out: an abbreviation would let `train --rep 1`
+        # silently mean --reps 1
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
 
-def _add_stream_args(p: argparse.ArgumentParser) -> None:
+def _add_seed_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="global seed (default 0)")
+
+
+def _add_stream_args(p: argparse.ArgumentParser) -> None:
+    _add_seed_arg(p)
     p.add_argument("--layer", type=int, default=0, help="layer index for the stream (default 0)")
     p.add_argument("--rep", type=int, default=0, help="repetition index for the stream (default 0)")
 
@@ -106,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--no-grad-log", action="store_true")
     p.add_argument("--out", required=True, help="directory for rep_*.jsonl and summary.json")
-    _add_stream_args(p)
+    _add_seed_arg(p)
 
     p = sub.add_parser("compare", help="statistical comparison of two run directories")
     p.add_argument("--baseline", required=True)
@@ -120,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--passes", choices=PASS_MODES, default="bidirectional")
     p.add_argument("--out", default=None)
-    _add_stream_args(p)
+    _add_seed_arg(p)
 
     p = sub.add_parser("run", help="execute an experiment manifest")
     p.add_argument("--manifest", required=True)

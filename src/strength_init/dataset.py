@@ -1,14 +1,15 @@
 """IDX image/label ingestion and deterministic data splits.
 
-The IDX container stores big-endian int32 header fields followed by a
-uint8 payload: images carry magic 0x00000803 and (count, rows, cols),
-labels carry magic 0x00000801 and (count,). Files may be plain or
+The IDX container stores big-endian 32-bit header fields followed by a
+uint8 payload: the magic number, whose low byte is the rank, then one
+field per dimension. Images carry magic 0x00000803 and (count, rows,
+cols), labels carry magic 0x00000801 and (count,). Files may be plain or
 gzip-compressed (detected by the .gz suffix). Pixels are flattened;
 load_named_pixels keeps them uint8 and scale_pixels turns a part into
 float64 in [0, 1] with one allocation. An experiment splits the uint8
 training pixels and scales the parts after the split, so the training
-pixels are held in float64 once (load_idx and load_named_dataset scale
-on load). Labels stay integer class ids.
+pixels are held in float64 once (load_named_dataset scales on load).
+Labels stay integer class ids.
 
 The experiment protocol holds out a validation set sampled once from the
 training set (same size as the test set); the split is a function of the
@@ -19,6 +20,7 @@ sees identical data.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +34,6 @@ __all__ = [
     "IdxMagicError",
     "IdxCountMismatchError",
     "Dataset",
-    "load_idx",
     "read_idx_images",
     "read_idx_labels",
     "write_idx_images",
@@ -91,76 +92,59 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx])
 
 
-def _open(path):
+def _open(path, mode: str):
     path = Path(path)
     if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+        # fixed mtime so identical content gives identical bytes
+        return gzip.GzipFile(path, mode, mtime=0)
+    return open(path, mode)
 
 
-def _read_be32(f, path, what: str) -> int:
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise IdxError(f"{path}: truncated while reading {what}")
-    return struct.unpack(">i", raw)[0]
+def _read_idx(path, magic: int, kind: str) -> np.ndarray:
+    """The uint8 array of an IDX file that must carry `magic`."""
+    rank = magic & 0xFF
+    with _open(path, "rb") as f:
+        header = f.read(4 * (rank + 1))
+        payload = f.read()
+    if header[:4] != struct.pack(">i", magic):
+        raise IdxMagicError(f"{path}: {kind} magic 0x{header[:4].hex()}, expected 0x{magic:08x}")
+    if len(header) != 4 * (rank + 1):
+        raise IdxError(f"{path}: truncated IDX header")
+    shape = struct.unpack(f">{rank}I", header[4:])
+    size = math.prod(shape)
+    if len(payload) != size:
+        raise IdxError(f"{path}: payload holds {len(payload)} bytes, header declares {size}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape).copy()
+
+
+def _write_idx(path, data, magic: int, kind: str) -> None:
+    arr = np.ascontiguousarray(data, dtype=np.uint8)
+    rank = magic & 0xFF
+    if arr.ndim != rank:
+        raise ValueError(f"{kind} must be {rank}-D, got ndim={arr.ndim}")
+    with _open(path, "wb") as f:
+        f.write(struct.pack(f">{rank + 1}i", magic, *arr.shape))
+        f.write(arr.tobytes())
 
 
 def read_idx_images(path) -> np.ndarray:
     """Raw (count, rows, cols) uint8 image cube from an IDX file."""
-    with _open(path) as f:
-        magic = _read_be32(f, path, "magic")
-        if magic != IMAGE_MAGIC:
-            raise IdxMagicError(f"{path}: image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}")
-        count = _read_be32(f, path, "count")
-        rows = _read_be32(f, path, "rows")
-        cols = _read_be32(f, path, "cols")
-        payload = f.read()
-    if len(payload) != count * rows * cols:
-        raise IdxError(
-            f"{path}: payload holds {len(payload)} bytes, header declares {count * rows * cols}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols).copy()
+    return _read_idx(path, IMAGE_MAGIC, "image")
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Raw (count,) uint8 label vector from an IDX file."""
-    with _open(path) as f:
-        magic = _read_be32(f, path, "magic")
-        if magic != LABEL_MAGIC:
-            raise IdxMagicError(f"{path}: label magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}")
-        count = _read_be32(f, path, "count")
-        payload = f.read()
-    if len(payload) != count:
-        raise IdxError(f"{path}: payload holds {len(payload)} labels, header declares {count}")
-    return np.frombuffer(payload, dtype=np.uint8).copy()
+    return _read_idx(path, LABEL_MAGIC, "label")
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
     """Write a (count, rows, cols) uint8 cube in IDX image format."""
-    arr = np.ascontiguousarray(images, dtype=np.uint8)
-    if arr.ndim != 3:
-        raise ValueError("images must be (count, rows, cols)")
-    with _open_w(path) as f:
-        f.write(struct.pack(">iiii", IMAGE_MAGIC, *arr.shape))
-        f.write(arr.tobytes())
+    _write_idx(path, images, IMAGE_MAGIC, "images")
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
     """Write a (count,) uint8 vector in IDX label format."""
-    arr = np.ascontiguousarray(labels, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("labels must be 1-D")
-    with _open_w(path) as f:
-        f.write(struct.pack(">ii", LABEL_MAGIC, arr.shape[0]))
-        f.write(arr.tobytes())
-
-
-def _open_w(path):
-    path = Path(path)
-    if path.suffix == ".gz":
-        # fixed mtime so identical content gives identical bytes
-        return gzip.GzipFile(path, "wb", mtime=0)
-    return open(path, "wb")
+    _write_idx(path, labels, LABEL_MAGIC, "labels")
 
 
 def _load_idx_pixels(images_path, labels_path) -> Dataset:
@@ -181,11 +165,6 @@ def scale_pixels(dataset: Dataset) -> Dataset:
     One allocation; the bits equal those of astype(np.float64) / 255.0.
     """
     return Dataset(np.divide(dataset.features, 255.0, dtype=np.float64), dataset.labels)
-
-
-def load_idx(images_path, labels_path) -> Dataset:
-    """Load an image/label IDX pair into flat [0, 1] features."""
-    return scale_pixels(_load_idx_pixels(images_path, labels_path))
 
 
 def split(dataset: Dataset, test_size: int, rng) -> tuple[Dataset, Dataset]:
@@ -219,17 +198,10 @@ def dataset_paths(data_dir, name: str) -> dict[str, Path]:
     roots = [Path(data_dir) / name, Path(data_dir)]
     out = {}
     for key, fname in _IDX_FILES.items():
-        for root in roots:
-            for candidate in (root / fname, root / (fname + ".gz")):
-                if candidate.exists():
-                    out[key] = candidate
-                    break
-            if key in out:
-                break
-        if key not in out:
-            raise FileNotFoundError(
-                f"{fname}[.gz] not found under {roots[0]} or {roots[1]}"
-            )
+        found = [c for root in roots for c in (root / fname, root / (fname + ".gz")) if c.exists()]
+        if not found:
+            raise FileNotFoundError(f"{fname}[.gz] not found under {roots[0]} or {roots[1]}")
+        out[key] = found[0]
     return out
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .rng import RngStream
 
-__all__ = ["METHODS", "InitSpec", "init", "nominal_weight_variance"]
+__all__ = ["METHODS", "InitSpec", "init"]
 
 METHODS = (
     "glorot-uniform",
@@ -69,30 +69,6 @@ def init(spec: InitSpec, rng: RngStream) -> np.ndarray:
     if spec.method == "orthogonal":
         return _orthogonal(rows, cols, gen, spec.gain)
     raise AssertionError(spec.method)
-
-
-def nominal_weight_variance(method: str, rows: int, cols: int) -> float:
-    """Per-entry variance each method aims for (uniform variance is b**2/3).
-
-    Orthogonal has no i.i.d. sampling variance; its entries are returned
-    with the 1/n variance a gain-1 orthonormal basis implies.
-    """
-    if method == "glorot-uniform":
-        return 6.0 / (rows + cols) / 3.0
-    if method == "glorot-normal":
-        return 2.0 / (rows + cols)
-    if method == "kaiming-uniform":
-        return 6.0 / rows / 3.0
-    if method == "kaiming-normal":
-        return 2.0 / rows
-    if method == "truncated-normal":
-        sigma2 = 2.0 / rows
-        phi3 = math.exp(-4.5) / math.sqrt(2.0 * math.pi)
-        z = math.erf(3.0 / math.sqrt(2.0))
-        return sigma2 * (1.0 - 6.0 * phi3 / z)
-    if method == "orthogonal":
-        return 1.0 / max(rows, cols)
-    raise ValueError(f"unknown init method {method!r}")
 
 
 def _truncated_normal(rows: int, cols: int, gen: np.random.Generator) -> np.ndarray:

@@ -6,7 +6,10 @@ repetition, writes one JSON-lines metric file per repetition (one record
 per epoch plus a final summary record), a merged summary per arm, CSV
 curve bundles for plotting, and, when both a baseline and a treatment
 arm are declared, a statistical comparison report. Re-running the same
-manifest on the same platform reproduces every output byte for byte.
+manifest into a new out_dir reproduces every output byte for byte on the
+same platform, with the same numpy/BLAS build and the same BLAS thread
+count: OPENBLAS_NUM_THREADS=1 and =2 give different training digests
+(see training).
 
 Each arm trains as one lock-step population (training.train_population);
 its only parallelism is the BLAS threads inside the population's matmuls.
@@ -24,7 +27,7 @@ import numpy as np
 
 from .dataset import load_named_pixels, scale_pixels, split
 from .rng import SPLIT_DOMAIN, harness_generator
-from .stats import compare
+from .stats import COMPARE_METRICS, compare, sample_std
 from .training import MlpArch, TrainConfig, train_population
 
 __all__ = ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir", "resolve_data_dir"]
@@ -55,7 +58,7 @@ class ExperimentManifest:
     log_gradients: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "arch", tuple(int(s) for s in self.arch))
+        object.__setattr__(self, "arch", MlpArch(self.arch).layer_sizes)
         # stored as plain ints so to_json can write them; numpy integers
         # pass, 1.5 does not
         for name in ("repetitions", "epochs", "batch_size", "global_seed", "jobs"):
@@ -161,13 +164,12 @@ def _run_population(manifest: ExperimentManifest, rewire: str, arm_dir: Path, da
 
 
 def _write_arm_summary(path: Path, rewire: str, summaries: list[dict]) -> None:
-    keys = ("epoch1_train_acc", "epoch1_val_acc", "convergence_epoch", "test_acc")
     agg = {}
-    for key in keys:
+    for key, _, _ in COMPARE_METRICS:
         vals = np.asarray([s[key] for s in summaries], dtype=np.float64)
         agg[key] = {
             "mean": float(vals.mean()),
-            "std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
+            "std": sample_std(vals),
             "median": float(np.median(vals)),
         }
     doc = {"rewire": rewire, "repetitions": len(summaries), "aggregate": agg, "runs": summaries}
@@ -178,9 +180,14 @@ def run_manifest(manifest: ExperimentManifest) -> int:
     """Execute a manifest end to end; returns 0 on success.
 
     Baseline always runs; the treatment arm and the comparison report are
-    produced only when treatment_rewire is declared.
+    produced only when treatment_rewire is declared. An out_dir that
+    already holds repetition files is refused with ValueError before
+    anything is written: its old files would be merged into the new run.
     """
     out_dir = Path(manifest.out_dir)
+    stale = sorted(out_dir.glob("*/rep_*.jsonl"))
+    if stale:
+        raise ValueError(f"{out_dir} already holds run files such as {stale[0]}; use a new out_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(manifest.to_json())
     data = _prepare_data(manifest)
@@ -240,11 +247,7 @@ def plot_export(runs_dir) -> list[Path]:
     val_loss = column("val_loss")
     lines = ["epoch,train_acc_mean,train_acc_std,val_acc_mean,val_acc_std,val_loss_mean,val_loss_std"]
     for e in range(n_epochs):
-        cells = []
-        for arr in (train_acc, val_acc, val_loss):
-            col = arr[:, e]
-            std = col.std(ddof=1) if col.size > 1 else 0.0
-            cells.extend([f"{col.mean():.17g}", f"{std:.17g}"])
+        cells = [f"{a[:, e].mean():.17g},{sample_std(a[:, e]):.17g}" for a in (train_acc, val_acc, val_loss)]
         lines.append(f"{e + 1}," + ",".join(cells))
     curves = runs_dir / "curves.csv"
     curves.write_text("\n".join(lines) + "\n")
@@ -256,8 +259,7 @@ def plot_export(runs_dir) -> list[Path]:
         for e in range(n_epochs):
             for l in range(n_layers):
                 col = np.asarray([doc["records"][e]["grad_abs_mean"][l] for doc in docs])
-                std = col.std(ddof=1) if col.size > 1 else 0.0
-                glines.append(f"{e + 1},{l},{col.mean():.17g},{std:.17g}")
+                glines.append(f"{e + 1},{l},{col.mean():.17g},{sample_std(col):.17g}")
         gradients = runs_dir / "gradients.csv"
         gradients.write_text("\n".join(glines) + "\n")
         written.append(gradients)

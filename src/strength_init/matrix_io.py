@@ -11,8 +11,7 @@ WMAT is the repository's on-disk binary format: a single ASCII header line
     WMAT1 rows=<R> cols=<C> dtype=f64 order=row-major endian=little\\n
 
 followed immediately by R*C*8 bytes of raw little-endian float64. The
-round trip is bit-exact, which the reproducibility checks rely on. CSV
-import/export is provided for interop, limited to 10**6 entries.
+round trip is bit-exact, which the reproducibility checks rely on.
 """
 
 from __future__ import annotations
@@ -31,13 +30,9 @@ __all__ = [
     "validate_matrix",
     "save_matrix",
     "load_matrix",
-    "save_matrix_csv",
-    "load_matrix_csv",
     "conv_to_2d",
     "conv_from_2d",
 ]
-
-CSV_MAX_ENTRIES = 10**6
 
 _HEADER_RE = re.compile(
     rb"\AWMAT1 rows=([0-9]+) cols=([0-9]+) dtype=f64 order=row-major endian=little\Z"
@@ -61,6 +56,20 @@ class NonFiniteError(MatrixIOError):
     """A matrix entry is NaN or infinite."""
 
 
+def _checked(a, ndim: int, name: str) -> np.ndarray:
+    """`a` as a C-contiguous float64 array of rank `ndim` with every
+    dimension >= 1 and every entry finite; aliases `a` when it conforms."""
+    arr = np.asarray(a, dtype=np.float64, order="C")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got ndim={arr.ndim}")
+    if min(arr.shape) < 1:
+        raise ValueError(f"{name} must have all dims >= 1, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        bad = int(np.count_nonzero(~np.isfinite(arr)))
+        raise NonFiniteError(f"{name} has {bad} non-finite entries")
+    return arr
+
+
 def validate_matrix(m, name: str = "matrix") -> np.ndarray:
     """Return `m` as a C-contiguous float64 2-D array, checking invariants.
 
@@ -68,15 +77,13 @@ def validate_matrix(m, name: str = "matrix") -> np.ndarray:
     The returned array may alias the input when it already conforms;
     callers that mutate must copy.
     """
-    arr = np.asarray(m, dtype=np.float64, order="C")
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must have rows, cols >= 1, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        bad = int(np.count_nonzero(~np.isfinite(arr)))
-        raise NonFiniteError(f"{name} has {bad} non-finite entries")
-    return arr
+    return _checked(m, 2, name)
+
+
+def validate_conv(t, name: str = "conv tensor (w, h, z, o)") -> np.ndarray:
+    """Return `t` as a C-contiguous float64 (w, h, z, o) array, checked as
+    validate_matrix checks a matrix."""
+    return _checked(t, 4, name)
 
 
 def save_matrix(m, path) -> None:
@@ -117,11 +124,7 @@ def load_matrix(path) -> np.ndarray:
                 f"{path}: expected {expected} payload bytes for shape "
                 f"({rows}, {cols}), found {found}"
             )
-    arr = arr.astype(np.float64, copy=False)
-    if not np.isfinite(arr).all():
-        bad = int(np.count_nonzero(~np.isfinite(arr)))
-        raise NonFiniteError(f"{path}: payload has {bad} non-finite entries")
-    return arr
+    return _checked(arr, 2, f"{path}: payload")
 
 
 def _bytes_view(arr: np.ndarray) -> memoryview:
@@ -134,35 +137,6 @@ def _read_header_line(f: io.BufferedReader, path) -> bytes:
     if not line.endswith(b"\n"):
         raise HeaderError(f"{path}: missing or overlong WMAT header line")
     return line[:-1]
-
-
-def save_matrix_csv(m, path) -> None:
-    """Write `m` as plain comma-separated rows (matrices up to 10**6 entries)."""
-    arr = validate_matrix(m)
-    if arr.size > CSV_MAX_ENTRIES:
-        raise ValueError(f"CSV export limited to {CSV_MAX_ENTRIES} entries, got {arr.size}")
-    np.savetxt(path, arr, delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a comma-separated matrix written by save_matrix_csv."""
-    arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    if arr.size > CSV_MAX_ENTRIES:
-        raise ValueError(f"CSV import limited to {CSV_MAX_ENTRIES} entries, got {arr.size}")
-    return validate_matrix(arr, name=str(path))
-
-
-def validate_conv(t, name: str = "conv tensor") -> np.ndarray:
-    """Return `t` as a C-contiguous float64 (w, h, z, o) array."""
-    arr = np.asarray(t, dtype=np.float64, order="C")
-    if arr.ndim != 4:
-        raise ValueError(f"{name} must be 4-D (w, h, z, o), got ndim={arr.ndim}")
-    if min(arr.shape) < 1:
-        raise ValueError(f"{name} must have all dims >= 1, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        bad = int(np.count_nonzero(~np.isfinite(arr)))
-        raise NonFiniteError(f"{name} has {bad} non-finite entries")
-    return arr
 
 
 def conv_to_2d(t) -> np.ndarray:

@@ -6,8 +6,9 @@ stream, so any layer of any repetition can be regenerated in isolation,
 and two runs with the same global seed are bit-identical.
 
 The underlying generator is PCG64 for the whole repository. Bit-equality
-is promised within this codebase (same numpy, same platform word order),
-not across other implementations.
+is promised within this codebase on the same platform, with the same
+numpy/BLAS build and the same BLAS thread count (see training), not
+across other implementations.
 
 Spawn-key layout: weight streams use 2-element keys
 (layer_index, repetition_index); experiment-level streams (batch order,

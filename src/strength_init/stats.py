@@ -28,6 +28,7 @@ __all__ = [
     "kruskal_wallis",
     "pearson",
     "median_abs_deviation",
+    "sample_std",
     "MetricComparison",
     "ComparisonReport",
     "compare",
@@ -147,6 +148,12 @@ def pearson(x, y) -> tuple[float, float]:
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
     p = 2.0 * _t_sf(abs(t), n - 2)
     return r, min(1.0, float(p))
+
+
+def sample_std(a) -> float:
+    """Sample standard deviation (ddof=1); 0 for a single value."""
+    v = np.asarray(a, dtype=np.float64)
+    return float(v.std(ddof=1)) if v.size > 1 else 0.0
 
 
 def median_abs_deviation(a) -> float:
@@ -294,9 +301,9 @@ def compare(baseline, treatment, alpha: float = 0.05) -> ComparisonReport:
                 label=label,
                 higher_is_better=higher,
                 baseline_mean=float(b.mean()),
-                baseline_std=float(b.std(ddof=1)) if b.size > 1 else 0.0,
+                baseline_std=sample_std(b),
                 treatment_mean=float(t.mean()),
-                treatment_std=float(t.std(ddof=1)) if t.size > 1 else 0.0,
+                treatment_std=sample_std(t),
                 baseline_median=b_median,
                 baseline_mad=median_abs_deviation(b),
                 treatment_median=t_median,

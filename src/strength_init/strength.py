@@ -23,8 +23,6 @@ __all__ = [
     "StrengthStats",
     "stats_from_strengths",
     "strength_stats",
-    "predicted_strength_variance",
-    "model_strength_summary",
 ]
 
 SIDES = ("input", "output")
@@ -66,18 +64,9 @@ def stats_from_strengths(s) -> StrengthStats:
     if v.ndim != 1 or v.size < 1:
         raise ValueError("strength vector must be 1-D and nonempty")
     mu = float(v.mean())
-    if v.max() == v.min():
-        # exactly constant: all central moments are 0, not rounding noise
-        return StrengthStats(
-            n=int(v.size),
-            mean=mu,
-            variance=0.0,
-            fourth_central_moment=0.0,
-            max_abs=float(np.abs(v).max()),
-            skewness=0.0,
-            excess_kurtosis=0.0,
-        )
-    d = v - mu
+    # an exactly constant vector has zero deviations, not the rounding
+    # noise of v - mean, so all its central moments are exactly 0
+    d = np.zeros_like(v) if v.max() == v.min() else v - mu
     m2 = float(np.mean(d * d))
     m3 = float(np.mean(d * d * d))
     m4 = float(np.mean(d * d * d * d))
@@ -101,23 +90,3 @@ def stats_from_strengths(s) -> StrengthStats:
 def strength_stats(m, side: str = "input") -> StrengthStats:
     """Strength-distribution summary for one side of a layer."""
     return stats_from_strengths(strengths(m, side))
-
-
-def predicted_strength_variance(weight_variance: float, n_l: int) -> float:
-    """Variance the sum-of-variances law predicts for strengths: var(W) * n_l."""
-    if weight_variance < 0.0:
-        raise ValueError("weight_variance must be >= 0")
-    return float(weight_variance) * int(n_l)
-
-
-def model_strength_summary(layers) -> tuple[float, float]:
-    """Input-side strength variance and fourth central moment, averaged
-    over a model's layers. Used to place whole models on the
-    variance/tail-mass plane that correlates with final accuracy."""
-    layers = list(layers)
-    if not layers:
-        raise ValueError("model_strength_summary needs at least one layer")
-    stats = [strength_stats(m, "input") for m in layers]
-    avg_var = float(np.mean([st.variance for st in stats]))
-    avg_mu4 = float(np.mean([st.fourth_central_moment for st in stats]))
-    return avg_var, avg_mu4

@@ -30,6 +30,12 @@ and the best-epoch snapshot; the end-of-epoch evaluations walk the
 repetitions one at a time, so their memory does not grow with R. A
 population stops with TrainingDivergedError at the first batch where any
 member's loss is non-finite, naming the lowest such repetition.
+
+Bit-identity holds on the same platform, with the same numpy/BLAS build
+and the same BLAS thread count: on a 2-vCPU machine with OpenBLAS 0.3.31,
+OPENBLAS_NUM_THREADS=1 and =2 give different training digests. Rewiring
+and every initializer but orthogonal (whose QR goes through LAPACK, and
+whose 784x256 draw also changes with the thread count) use no BLAS.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ __all__ = [
     "TrainConfig",
     "RunMetrics",
     "TrainingDivergedError",
-    "REWIRE_MODES",
     "parse_rewire_mode",
     "cosine_lr",
     "build_layer_weights",
@@ -59,8 +64,6 @@ __all__ = [
     "gradient_flow",
     "evaluate",
 ]
-
-REWIRE_MODES = ("none", "pa-bidirectional", "pa-input", "var-min", "var-max")
 
 _EVAL_CHUNK = 8192
 
@@ -72,7 +75,11 @@ class MlpArch:
     layer_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        try:
+            # numpy integers pass; "1684" and 8.7 do not
+            sizes = tuple(operator.index(s) for s in self.layer_sizes)
+        except TypeError:
+            raise TypeError(f"layer sizes must be integers, got {self.layer_sizes!r}") from None
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
             raise ValueError("an MLP needs at least input and output sizes")

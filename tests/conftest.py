@@ -4,8 +4,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from strength_init.rng import derive_stream
+
+# property tests draw a fixed sequence of examples, with no time limit per
+# example and no example database, so every run checks the same cases
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=60, database=None)
+settings.load_profile("tier1")
 
 _ACCEPTANCE_PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 _acceptance_results: dict[str, str] = {}

@@ -1,4 +1,7 @@
-"""Helpers shared between test modules."""
+"""Helpers shared between test modules: a synthetic IDX dataset and the
+closed-form oracles the initializer and strength tests compare against."""
+
+import math
 
 import numpy as np
 
@@ -26,3 +29,34 @@ def make_synthetic_mnist(root, n_train=240, n_test=40, side=4, seed=0):
     write_idx_images(d / "t10k-images-idx3-ubyte", te_imgs)
     write_idx_labels(d / "t10k-labels-idx1-ubyte", te_labs)
     return root
+
+
+def nominal_weight_variance(method: str, rows: int, cols: int) -> float:
+    """Per-entry variance each method aims for (uniform variance is b**2/3).
+
+    Orthogonal has no i.i.d. sampling variance; its entries are returned
+    with the 1/n variance a gain-1 orthonormal basis implies.
+    """
+    if method == "glorot-uniform":
+        return 6.0 / (rows + cols) / 3.0
+    if method == "glorot-normal":
+        return 2.0 / (rows + cols)
+    if method == "kaiming-uniform":
+        return 6.0 / rows / 3.0
+    if method == "kaiming-normal":
+        return 2.0 / rows
+    if method == "truncated-normal":
+        sigma2 = 2.0 / rows
+        phi3 = math.exp(-4.5) / math.sqrt(2.0 * math.pi)
+        z = math.erf(3.0 / math.sqrt(2.0))
+        return sigma2 * (1.0 - 6.0 * phi3 / z)
+    if method == "orthogonal":
+        return 1.0 / max(rows, cols)
+    raise ValueError(f"unknown init method {method!r}")
+
+
+def predicted_strength_variance(weight_variance: float, n_l: int) -> float:
+    """Variance the sum-of-variances law predicts for strengths: var(W) * n_l."""
+    if weight_variance < 0.0:
+        raise ValueError("weight_variance must be >= 0")
+    return float(weight_variance) * int(n_l)

@@ -9,15 +9,22 @@ from strength_init.dataset import (
     IdxCountMismatchError,
     IdxError,
     IdxMagicError,
+    _load_idx_pixels,
     dataset_paths,
-    load_idx,
     load_named_dataset,
     read_idx_images,
+    read_idx_labels,
+    scale_pixels,
     split,
     write_idx_images,
     write_idx_labels,
 )
 from strength_init.rng import derive_stream
+
+
+def load_idx(images_path, labels_path):
+    """An image/label IDX pair as flat [0, 1] features, as a named dataset loads it."""
+    return scale_pixels(_load_idx_pixels(images_path, labels_path))
 
 
 @pytest.fixture
@@ -33,6 +40,20 @@ def idx_pair(tmp_path, rng):
 def test_magic_constants():
     assert IMAGE_MAGIC == 0x00000803 == 2051
     assert LABEL_MAGIC == 0x00000801 == 2049
+
+
+def test_header_layout_and_rank(tmp_path):
+    # big-endian magic (low byte = rank), one 32-bit field per dimension, payload
+    write_idx_labels(tmp_path / "l.idx", np.arange(3, dtype=np.uint8))
+    assert (tmp_path / "l.idx").read_bytes() == bytes.fromhex("00000801 00000003 000102")
+    write_idx_images(tmp_path / "i.idx", np.full((2, 1, 1), 7, dtype=np.uint8))
+    assert (tmp_path / "i.idx").read_bytes() == bytes.fromhex("00000803 00000002 00000001 00000001 0707")
+    npt.assert_array_equal(read_idx_labels(tmp_path / "l.idx"), [0, 1, 2])
+    assert read_idx_images(tmp_path / "i.idx").shape == (2, 1, 1)
+    with pytest.raises(ValueError):
+        write_idx_labels(tmp_path / "bad.idx", np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        write_idx_images(tmp_path / "bad.idx", np.zeros(3))
 
 
 def test_round_trip(idx_pair):
@@ -87,6 +108,9 @@ def test_truncated_payload(tmp_path, idx_pair):
     trunc = tmp_path / "trunc.idx"
     trunc.write_bytes(data[:-10])
     with pytest.raises(IdxError):
+        read_idx_images(trunc)
+    trunc.write_bytes(data[:10])  # the magic and part of the dimensions
+    with pytest.raises(IdxError, match="truncated"):
         read_idx_images(trunc)
 
 

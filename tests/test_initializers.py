@@ -4,12 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from strength_init.initializers import (
-    METHODS,
-    InitSpec,
-    init,
-    nominal_weight_variance,
-)
+from helpers import nominal_weight_variance
+
+from strength_init.initializers import METHODS, InitSpec, init
 from strength_init.rng import derive_stream
 
 

@@ -63,6 +63,8 @@ class TestManifest:
             ("treatment_rewire", "magic"),
             ("init_method", "he-uniform"),
             ("arch", [784]),
+            ("arch", "1684"),
+            ("arch", [16, 8.7, 10]),
             ("momentum", 1.5),
             ("lr0", 0),
             ("epochs", 0),
@@ -173,6 +175,18 @@ class TestManifest:
         raw_pixel_bytes = (n_train + n_test) * side * side
         assert peak <= sum(p.features.nbytes for p in parts) + 2 * raw_pixel_bytes
 
+    def test_rerun_into_used_out_dir_refused(self, data_dir, tmp_path, capsys):
+        # the old rep files would be averaged into the new run's curves and
+        # comparison, or break plot_export when the epoch count differs
+        out = tmp_path / "out"
+        assert run_manifest(tiny_manifest(data_dir, out, repetitions=3)) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        mpath = tmp_path / "m.json"
+        mpath.write_text(tiny_manifest(data_dir, out, repetitions=2, epochs=1).to_json())
+        assert main(["run", "--manifest", str(mpath)]) == EXIT_DATA
+        assert "already holds run files" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_plot_export_empty_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             plot_export(tmp_path)
@@ -248,6 +262,10 @@ class TestCli:
                      "--jobs", "2"]) == EXIT_USAGE
         # compare draws no random numbers, so it takes no seed
         assert main(["compare", "--baseline", "b", "--treatment", "t", "--seed", "1"]) == EXIT_USAGE
+        # train and cost derive their streams from --seed alone
+        assert main(["cost", "--layer", "1"]) == EXIT_USAGE
+        assert main(["train", "--arch", "4,2", "--dataset", "mnist", "--out", "o",
+                     "--rep", "1"]) == EXIT_USAGE
 
     def test_seeded_subcommands_accept_stream_args(self):
         from strength_init.cli import build_parser
@@ -257,12 +275,12 @@ class TestCli:
             "init": ["--method", "kaiming-uniform", "--rows", "2", "--cols", "2", "--out", "o"],
             "rewire": ["--in", "i", "--out", "o"],
             "sweep": [],
-            "train": ["--arch", "4,2", "--dataset", "mnist", "--out", "o"],
-            "cost": [],
         }
         for cmd, extra in stubs.items():
             args = parser.parse_args([cmd, *extra, "--seed", "9", "--layer", "1", "--rep", "2"])
             assert (args.seed, args.layer, args.rep) == (9, 1, 2), cmd
+        for argv in (["train", "--arch", "4,2", "--dataset", "mnist", "--out", "o"], ["cost"]):
+            assert parser.parse_args([*argv, "--seed", "9"]).seed == 9, argv[0]
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["analyze", "--in", str(tmp_path / "nope.wmat")]) == EXIT_DATA
@@ -311,7 +329,9 @@ class TestCli:
         assert main(["run", "--manifest", str(mpath)]) == EXIT_DATA
 
     @pytest.mark.parametrize(
-        "field, value", [("arch", 784), ("repetitions", "ten"), ("repetitions", 1.5)]
+        "field, value",
+        [("arch", 784), ("arch", "1684"), ("arch", [16, 8.7, 10]), ("repetitions", "ten"),
+         ("repetitions", 1.5)],
     )
     def test_run_manifest_wrong_type_is_data_error(self, tmp_path, capsys, field, value):
         mpath = tmp_path / "m.json"

@@ -10,9 +10,8 @@ from strength_init.matrix_io import (
     conv_from_2d,
     conv_to_2d,
     load_matrix,
-    load_matrix_csv,
     save_matrix,
-    save_matrix_csv,
+    validate_conv,
     validate_matrix,
 )
 from strength_init.rng import derive_stream
@@ -95,25 +94,6 @@ class TestWmatErrors:
         assert "no_such_dir" in str(exc.value)
 
 
-class TestCsv:
-    def test_round_trip(self, tmp_path, rng):
-        m = rng.normal(size=(7, 5))
-        path = tmp_path / "m.csv"
-        save_matrix_csv(m, path)
-        npt.assert_array_equal(load_matrix_csv(path), m)
-
-    def test_single_column(self, tmp_path):
-        m = np.array([[1.5], [2.5]])
-        path = tmp_path / "col.csv"
-        save_matrix_csv(m, path)
-        npt.assert_array_equal(load_matrix_csv(path), m)
-
-    def test_entry_limit(self, tmp_path):
-        big = np.zeros((1001, 1001))
-        with pytest.raises(ValueError, match="limited"):
-            save_matrix_csv(big, tmp_path / "big.csv")
-
-
 class TestConvReshape:
     def test_flat_filters(self):
         t = np.arange(5.0).reshape(1, 1, 1, 5)
@@ -169,3 +149,13 @@ class TestValidate:
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteError):
             validate_matrix(np.array([[1.0, np.nan]]))
+
+    def test_conv_checked_by_the_same_rules(self):
+        with pytest.raises(ValueError, match="4-D"):
+            validate_conv(np.zeros((3, 3, 4)))
+        with pytest.raises(ValueError, match="dims >= 1"):
+            validate_conv(np.zeros((3, 3, 0, 2)))
+        with pytest.raises(NonFiniteError):
+            validate_conv(np.full((1, 1, 1, 2), np.inf))
+        bank = np.zeros((2, 2, 1, 3))
+        assert validate_conv(bank) is bank

@@ -2,16 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import predicted_strength_variance
+
 from strength_init.initializers import InitSpec, init
 from strength_init.rewiring import max_strength_scaling, sweep_rows_to_csv
 from strength_init.rng import derive_stream
-from strength_init.strength import (
-    model_strength_summary,
-    predicted_strength_variance,
-    stats_from_strengths,
-    strength_stats,
-    strengths,
-)
+from strength_init.strength import stats_from_strengths, strength_stats, strengths
 
 
 class TestStrengths:
@@ -100,49 +96,6 @@ class TestPredictedVariance:
             varis.append(strengths(w, "input").var())
         predicted = predicted_strength_variance(2.0 / 256, 256)
         assert abs(np.mean(varis) - predicted) / predicted < 0.10
-
-
-class TestModelSummary:
-    def test_single_layer(self, rng):
-        m = rng.normal(size=(8, 8))
-        st = strength_stats(m, "input")
-        avg_var, avg_mu4 = model_strength_summary([m])
-        assert avg_var == st.variance
-        assert avg_mu4 == st.fourth_central_moment
-
-    def test_mean_of_two(self):
-        # diag layouts with input-strength variance 1 and 3
-        a = np.diag([1.0, -1.0]) * 1.0
-        b = np.diag([1.0, -1.0]) * np.sqrt(3.0)
-        avg_var, _ = model_strength_summary([a, b])
-        assert abs(avg_var - 2.0) < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            model_strength_summary([])
-
-    def test_summary_pairs_feed_correlation(self):
-        # whole-model pipeline: per-model (avg variance, avg mu4) pairs are
-        # ready for correlating against an outcome; a score built to fall
-        # with variance comes out negatively correlated
-        from strength_init.stats import pearson
-
-        sizes = [(20, 30), (30, 25), (25, 10)]
-        avg_vars, avg_mu4s = [], []
-        for model in range(30):
-            layers = [
-                init(InitSpec("kaiming-normal", r, c), derive_stream(51, l, model))
-                for l, (r, c) in enumerate(sizes)
-            ]
-            avg_var, avg_mu4 = model_strength_summary(layers)
-            avg_vars.append(avg_var)
-            avg_mu4s.append(avg_mu4)
-        noise = np.random.default_rng(5).normal(scale=0.01, size=30)
-        score = -np.asarray(avg_vars) + noise
-        r, p = pearson(avg_vars, score)
-        assert r < 0.0
-        assert p < 0.05
-        assert len(avg_mu4s) == 30 and all(v > 0.0 for v in avg_mu4s)
 
 
 class TestMaxStrengthSweep:
