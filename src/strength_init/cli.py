@@ -1,11 +1,12 @@
-"""Command-line pipeline: initialize, rewire, analyze, train, compare.
+"""Command-line pipeline: initialize, rewire, analyze, compare, run.
 
-Every subcommand that draws random numbers (init, rewire, sweep, train,
-cost) is seedable through --seed. init, rewire and sweep draw from one
-derive_stream(seed, layer, rep) stream and also take --layer/--rep;
-train and cost derive every stream they use from the seed. So any single
-artifact (a layer file, a sweep table, a training run) can be regenerated
-in isolation.
+Every subcommand that draws random numbers (init, rewire, sweep, cost) is
+seedable through --seed. init, rewire and sweep draw from one
+derive_stream(seed, layer, rep) stream and also take --layer/--rep; cost
+derives every stream it uses from the seed. Training runs only through
+`run`, whose manifest carries its own seed. So any single artifact (a
+layer file, a sweep table, a training run) can be regenerated in
+isolation.
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
 files, bad configuration values), 3 numeric failure (training diverged).
@@ -49,7 +50,7 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        # options are spelled out: an abbreviation would let `train --rep 1`
+        # options are spelled out: an abbreviation would let `cost --rep 1`
         # silently mean --reps 1
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
@@ -102,22 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--out", default=None)
     _add_stream_args(p)
-
-    p = sub.add_parser("train", help="train MLP repetitions and write metric files")
-    p.add_argument("--arch", type=_int_list, required=True, metavar="784,64,64,10")
-    p.add_argument("--dataset", choices=("mnist", "fmnist"), required=True)
-    p.add_argument("--data-dir", default=None)
-    p.add_argument("--init", dest="init_method", choices=METHODS, default="kaiming-uniform")
-    p.add_argument("--gain", type=float, default=1.0)
-    p.add_argument("--rewire", default="none", help="none | pa | pa-input | var-min:K | var-max:K")
-    p.add_argument("--reps", type=int, default=100, help="population size (default 100)")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr0", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--no-grad-log", action="store_true")
-    p.add_argument("--out", required=True, help="directory for rep_*.jsonl and summary.json")
-    _add_seed_arg(p)
 
     p = sub.add_parser("compare", help="statistical comparison of two run directories")
     p.add_argument("--baseline", required=True)
@@ -177,28 +162,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    manifest = ExperimentManifest(
-        dataset=args.dataset,
-        arch=tuple(args.arch),
-        out_dir=args.out,
-        init_method=args.init_method,
-        init_gain=args.gain,
-        baseline_rewire=args.rewire,
-        treatment_rewire=None,
-        global_seed=args.seed,
-        repetitions=args.reps,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr0=args.lr0,
-        momentum=args.momentum,
-        data_dir=args.data_dir,
-        log_gradients=not args.no_grad_log,
-    )
-    # the single arm lands directly in --out/baseline
-    return run_manifest(manifest)
-
-
 def _cmd_compare(args) -> int:
     base = [doc["summary"] for doc in read_run_dir(args.baseline)]
     treat = [doc["summary"] for doc in read_run_dir(args.treatment)]
@@ -231,7 +194,6 @@ _COMMANDS = {
     "rewire": _cmd_rewire,
     "analyze": _cmd_analyze,
     "sweep": _cmd_sweep,
-    "train": _cmd_train,
     "compare": _cmd_compare,
     "cost": _cmd_cost,
     "run": _cmd_run,
@@ -254,7 +216,6 @@ def main(argv=None) -> int:
         MatrixIOError,
         IdxError,
         FileNotFoundError,
-        json.JSONDecodeError,
         KeyError,
         ValueError,
     ) as exc:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_named_pixels, scale_pixels, split
+from .dataset import DATASET_NAMES, load_named_pixels, scale_pixels, split
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import COMPARE_METRICS, compare, sample_std
 from .training import MlpArch, TrainConfig, train_population
@@ -69,6 +69,8 @@ class ExperimentManifest:
                 raise ValueError(f"manifest field {name} must be an integer, got {value!r}") from None
         # fail at load time, not after the dataset is read: each declared
         # arm's TrainConfig checks arch, init, rewire and schedule
+        if self.dataset not in DATASET_NAMES:
+            raise ValueError(f"unknown dataset {self.dataset!r}, expected one of {DATASET_NAMES}")
         self.train_config(self.baseline_rewire, 0)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")

@@ -110,6 +110,22 @@ def weighted_draw_order(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     return np.argsort(keys)
 
 
+def _restore_negative_zeros(rows: np.ndarray, sorted_rows: np.ndarray) -> None:
+    """Give each sorted row as many -0.0 as the same unsorted row held.
+
+    np.sort may return +0.0 for a -0.0 that ties with a +0.0. The zeros of
+    a sorted row are contiguous; the first n_neg of them become -0.0 and
+    the rest +0.0, whatever signs the sort left there.
+    """
+    zero = rows == 0.0
+    n_neg = np.count_nonzero(np.signbit(rows) & zero, axis=1)
+    n_zero = np.count_nonzero(zero, axis=1)
+    for i in np.flatnonzero(n_neg):
+        first = np.searchsorted(sorted_rows[i], 0.0)
+        sorted_rows[i, first : first + n_zero[i]] = 0.0
+        sorted_rows[i, first : first + n_neg[i]] = -0.0
+
+
 def _pass_rows(a: np.ndarray, gen: np.random.Generator) -> None:
     """One rewiring pass over rows 1.. of a C-contiguous array, in place.
 
@@ -128,6 +144,8 @@ def _pass_rows(a: np.ndarray, gen: np.random.Generator) -> None:
     for start in range(1, n_rows, block):
         stop = min(start + block, n_rows)
         sorted_rows = np.sort(a[start:stop], axis=1)
+        if not sorted_rows.all():
+            _restore_negative_zeros(a[start:stop], sorted_rows)
         keys = gen.standard_exponential((stop - start) * n).reshape(stop - start, n)
         for i in range(stop - start):
             k = keys[i]

@@ -302,9 +302,10 @@ def _backward(weights, pre, acts, probs, labels):
     return grads_w, grads_b
 
 
-def evaluate(weights, biases, features, labels, chunk: int = _EVAL_CHUNK):
+def evaluate(weights, biases, features, labels):
     """Accuracy (percent) and mean loss of a model over a dataset."""
     n = features.shape[0]
+    chunk = _EVAL_CHUNK
     correct = 0
     loss_sum = 0.0
     for start in range(0, n, chunk):

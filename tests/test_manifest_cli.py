@@ -59,6 +59,7 @@ class TestManifest:
     @pytest.mark.parametrize(
         "field, value",
         [
+            ("dataset", "cifar"),
             ("baseline_rewire", "var-min"),
             ("treatment_rewire", "magic"),
             ("init_method", "he-uniform"),
@@ -258,14 +259,13 @@ class TestCli:
         assert main(["rewire", "--in", "x", "--out", "y", "--passes", "zigzag"]) == EXIT_USAGE
         # no --conv (a bank's 2-D form rewires the same) and no --jobs (no pool)
         assert main(["rewire", "--in", "x", "--out", "y", "--conv", "3,3,2,4"]) == EXIT_USAGE
-        assert main(["train", "--arch", "4,2", "--dataset", "mnist", "--out", "o",
-                     "--jobs", "2"]) == EXIT_USAGE
+        # training runs through `run --manifest` alone
+        assert main(["train"]) == EXIT_USAGE
         # compare draws no random numbers, so it takes no seed
         assert main(["compare", "--baseline", "b", "--treatment", "t", "--seed", "1"]) == EXIT_USAGE
-        # train and cost derive their streams from --seed alone
+        # cost derives its streams from --seed alone, and --rep is not --reps
         assert main(["cost", "--layer", "1"]) == EXIT_USAGE
-        assert main(["train", "--arch", "4,2", "--dataset", "mnist", "--out", "o",
-                     "--rep", "1"]) == EXIT_USAGE
+        assert main(["cost", "--rep", "1"]) == EXIT_USAGE
 
     def test_seeded_subcommands_accept_stream_args(self):
         from strength_init.cli import build_parser
@@ -279,8 +279,7 @@ class TestCli:
         for cmd, extra in stubs.items():
             args = parser.parse_args([cmd, *extra, "--seed", "9", "--layer", "1", "--rep", "2"])
             assert (args.seed, args.layer, args.rep) == (9, 1, 2), cmd
-        for argv in (["train", "--arch", "4,2", "--dataset", "mnist", "--out", "o"], ["cost"]):
-            assert parser.parse_args([*argv, "--seed", "9"]).seed == 9, argv[0]
+        assert parser.parse_args(["cost", "--seed", "9"]).seed == 9
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["analyze", "--in", str(tmp_path / "nope.wmat")]) == EXIT_DATA
@@ -291,30 +290,24 @@ class TestCli:
         assert main(["analyze", "--in", str(bad)]) == EXIT_DATA
 
     def test_train_and_compare_cli(self, data_dir, tmp_path):
-        base_out = tmp_path / "runs_base"
-        pa_out = tmp_path / "runs_pa"
-        common = [
-            "train", "--arch", "16,8,10", "--dataset", "mnist",
-            "--data-dir", str(data_dir), "--init", "kaiming-uniform",
-            "--seed", "11", "--reps", "5", "--epochs", "2",
-            "--batch-size", "32", "--lr0", "0.05",
-        ]
-        assert main(common + ["--rewire", "none", "--out", str(base_out)]) == EXIT_OK
-        assert main(common + ["--rewire", "pa", "--out", str(pa_out)]) == EXIT_OK
-        report = tmp_path / "cmp.md"
-        assert main([
-            "compare", "--baseline", str(base_out / "baseline"),
-            "--treatment", str(pa_out / "baseline"), "--format", "md",
-            "--out", str(report),
-        ]) == EXIT_OK
-        text = report.read_text()
-        assert "| weights |" in text
+        out = tmp_path / "runs"
+        mpath = tmp_path / "m.json"
+        mpath.write_text(tiny_manifest(data_dir, out, treatment_rewire="pa",
+                                       repetitions=5).to_json())
+        assert main(["run", "--manifest", str(mpath)]) == EXIT_OK
+        for fmt, name in (("md", "comparison.md"), ("json", "comparison.json")):
+            report = tmp_path / f"cmp.{fmt}"
+            assert main([
+                "compare", "--baseline", str(out / "baseline"),
+                "--treatment", str(out / "treatment"), "--format", fmt,
+                "--out", str(report),
+            ]) == EXIT_OK
+            assert report.read_bytes() == (out / name).read_bytes(), fmt
 
     def test_train_missing_data_dir(self, tmp_path):
-        assert main([
-            "train", "--arch", "16,8,10", "--dataset", "mnist",
-            "--data-dir", str(tmp_path / "nothing"), "--out", str(tmp_path / "o"),
-        ]) == EXIT_DATA
+        mpath = tmp_path / "m.json"
+        mpath.write_text(tiny_manifest(tmp_path / "nothing", tmp_path / "o").to_json())
+        assert main(["run", "--manifest", str(mpath)]) == EXIT_DATA
 
     def test_run_manifest_cli(self, data_dir, tmp_path):
         out = tmp_path / "out"

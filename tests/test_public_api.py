@@ -2,7 +2,8 @@
 import from ``strength_init``; every other name comes from its module.
 
 The demos and the README's python blocks are parsed, not run; so are the
-README's ``strength-init`` command lines, against the CLI's own parser.
+README's ``strength-init`` command lines, against the CLI's own parser, and
+its JSON blocks, as experiment manifests.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 
 import strength_init
 from strength_init.cli import build_parser
+from strength_init.manifest import ExperimentManifest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]
@@ -67,9 +69,21 @@ README_COMMANDS = _readme_commands()
 
 
 def test_readme_has_cli_examples():
-    assert {argv[1] for argv in README_COMMANDS} >= {"init", "rewire", "train", "run"}
+    assert {argv[1] for argv in README_COMMANDS} >= {"init", "rewire", "run"}
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[1])
 def test_readme_command_parses(argv):
     build_parser().parse_args(argv[1:])
+
+
+README_MANIFESTS = re.findall(r"^```json\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+
+
+def test_readme_has_a_manifest():
+    assert README_MANIFESTS
+
+
+@pytest.mark.parametrize("text", README_MANIFESTS)
+def test_readme_manifest_loads(text):
+    ExperimentManifest.from_json(text)

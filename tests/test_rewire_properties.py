@@ -3,10 +3,9 @@
 Layers include 1xn and nx1 shapes, repeated and constant columns, and
 magnitudes just inside and just outside the attachment-score overflow
 guard. Values are compared by their bit patterns, so a rewire must move
-weights without changing a single bit, with one known exception: a -0.0
-that ties with a +0.0 in the same column may come out as +0.0 (see
-test_signed_zero_tied_with_zero_keeps_its_sign). See MacIver et al.,
-"Hypothesis: A new approach to property-based testing" (JOSS 2019).
+weights without changing a single bit, the sign of a zero included. See
+MacIver et al., "Hypothesis: A new approach to property-based testing"
+(JOSS 2019).
 """
 
 import numpy as np
@@ -45,9 +44,8 @@ def weights(draw, shape_strategy):
 
 
 def bits(a, axis=None):
-    """The sorted bit patterns of `a` along `axis` (all entries for None),
-    with -0.0 folded into +0.0 by adding 0.0, which changes no other value."""
-    return np.sort(np.ascontiguousarray(a + 0.0).view(np.uint64), axis=axis)
+    """The sorted bit patterns of `a` along `axis` (all entries for None)."""
+    return np.sort(np.ascontiguousarray(a).view(np.uint64), axis=axis)
 
 
 def cfg(seed, passes):
@@ -118,7 +116,6 @@ def test_score_bound_edges(rewire, data, seed, passes):
         rewire(outside, cfg(seed, passes))
 
 
-@pytest.mark.xfail(reason="numpy's SIMD sort (its AVX-512 kernel) returns +0.0 for a -0.0 tied with +0.0")
 def test_signed_zero_tied_with_zero_keeps_its_sign():
     m = np.zeros((9, 2))
     m[0, 1] = -0.0

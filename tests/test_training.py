@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from strength_init import training
 from strength_init.dataset import Dataset, split
 from strength_init.rng import derive_stream
 from strength_init.training import (
@@ -241,13 +242,15 @@ class TestEvaluate:
         assert acc == 100.0
         assert loss < 1e-3
 
-    def test_chunking_invariant(self, rng):
+    def test_chunking_invariant(self, rng, monkeypatch):
         feats = rng.uniform(size=(100, 6))
         labels = rng.integers(0, 3, size=100)
         ws = [rng.normal(size=(6, 3))]
         bs = [np.zeros(3)]
-        a1 = evaluate(ws, bs, feats, labels, chunk=7)
-        a2 = evaluate(ws, bs, feats, labels, chunk=100)
+        monkeypatch.setattr(training, "_EVAL_CHUNK", 7)
+        a1 = evaluate(ws, bs, feats, labels)
+        monkeypatch.setattr(training, "_EVAL_CHUNK", 100)
+        a2 = evaluate(ws, bs, feats, labels)
         assert a1[0] == a2[0]
         assert abs(a1[1] - a2[1]) < 1e-12
 
