@@ -59,7 +59,6 @@ class TestManifest:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("dataset", "cifar"),
             ("baseline_rewire", "var-min"),
             ("treatment_rewire", "magic"),
             ("init_method", "he-uniform"),
@@ -74,6 +73,7 @@ class TestManifest:
             ("repetitions", 1.5),
             ("alpha", 0.0),
             ("alpha", 5),
+            ("dataset", "cifar"),
         ],
     )
     def test_bad_field_rejected_at_load(self, tmp_path, field, value):
