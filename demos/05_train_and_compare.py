@@ -50,7 +50,7 @@ manifest = ExperimentManifest(
     data_dir=str(work / "data"),
     init_method="kaiming-uniform",
     baseline_rewire="none",
-    treatment_rewire="pa-bidirectional",
+    treatment_rewire="pa",
     global_seed=7,
     repetitions=8,
     epochs=6,

@@ -25,7 +25,7 @@ full = Dataset(feats, labels.astype(np.int64))
 train_ds, val_ds = split(full, 150, derive_stream(1, 0, 0))
 test_ds = Dataset(full.features[:150], full.labels[:150])
 
-for rewire in ("none", "pa-bidirectional"):
+for rewire in ("none", "pa"):
     cfg = TrainConfig(
         arch=MlpArch((20, 24, 24, 6)),
         epochs=5,

@@ -167,20 +167,19 @@ def scale_pixels(dataset: Dataset) -> Dataset:
     return Dataset(np.divide(dataset.features, 255.0, dtype=np.float64), dataset.labels)
 
 
-def split(dataset: Dataset, test_size: int, rng) -> tuple[Dataset, Dataset]:
+def split(dataset: Dataset, test_size: int, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Partition a dataset into (train, validation) with |validation| = test_size.
 
-    The partition is disjoint and exhaustive, drawn from `rng` (an
-    RngStream or numpy Generator); both sides keep ascending original
-    order so the training shuffle alone controls presentation order.
+    The partition is disjoint and exhaustive, drawn from the numpy
+    Generator `rng`; both sides keep ascending original order so the
+    training shuffle alone controls presentation order.
     """
-    gen = getattr(rng, "generator", rng)
     test_size = int(test_size)
     if test_size < 0:
         raise ValueError("test_size must be >= 0")
     if test_size >= dataset.n:
         raise ValueError(f"test_size {test_size} must be < dataset size {dataset.n}")
-    perm = gen.permutation(dataset.n)
+    perm = rng.permutation(dataset.n)
     val_idx = np.sort(perm[:test_size])
     train_idx = np.sort(perm[test_size:])
     return dataset.subset(train_idx), dataset.subset(val_idx)

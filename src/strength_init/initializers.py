@@ -1,6 +1,6 @@
 """Random weight initializers under a deterministic seeding contract.
 
-All methods produce an (n_in, n_out) float64 matrix from an RngStream.
+All methods produce an (n_in, n_out) float64 matrix from a numpy Generator.
 Fan-in is the row count n_in (for conv filter banks, w*h*z). Nominal
 scales:
 
@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import RngStream
 
 __all__ = ["METHODS", "InitSpec", "init"]
 
@@ -50,24 +48,23 @@ class InitSpec:
             raise ValueError(f"rows and cols must be >= 1, got ({self.rows}, {self.cols})")
 
 
-def init(spec: InitSpec, rng: RngStream) -> np.ndarray:
+def init(spec: InitSpec, rng: np.random.Generator) -> np.ndarray:
     """Sample one weight matrix. Pure function of (spec, stream state)."""
-    gen = rng.generator
     rows, cols = spec.rows, spec.cols
     if spec.method == "glorot-uniform":
         bound = math.sqrt(6.0 / (rows + cols))
-        return gen.uniform(-bound, bound, size=(rows, cols))
+        return rng.uniform(-bound, bound, size=(rows, cols))
     if spec.method == "glorot-normal":
-        return gen.normal(0.0, math.sqrt(2.0 / (rows + cols)), size=(rows, cols))
+        return rng.normal(0.0, math.sqrt(2.0 / (rows + cols)), size=(rows, cols))
     if spec.method == "kaiming-uniform":
         bound = math.sqrt(6.0 / rows)
-        return gen.uniform(-bound, bound, size=(rows, cols))
+        return rng.uniform(-bound, bound, size=(rows, cols))
     if spec.method == "kaiming-normal":
-        return gen.normal(0.0, math.sqrt(2.0 / rows), size=(rows, cols))
+        return rng.normal(0.0, math.sqrt(2.0 / rows), size=(rows, cols))
     if spec.method == "truncated-normal":
-        return _truncated_normal(rows, cols, gen)
+        return _truncated_normal(rows, cols, rng)
     if spec.method == "orthogonal":
-        return _orthogonal(rows, cols, gen, spec.gain)
+        return _orthogonal(rows, cols, rng, spec.gain)
     raise AssertionError(spec.method)
 
 

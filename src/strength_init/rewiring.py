@@ -47,7 +47,7 @@ import numpy as np
 
 from .initializers import InitSpec, init
 from .matrix_io import validate_conv, validate_matrix
-from .rng import RngStream
+from .rng import derive_stream
 from .strength import strengths
 
 __all__ = [
@@ -76,7 +76,7 @@ _BLOCK = 1 << 16
 class RewireConfig:
     """How to rewire: which passes to run and which stream feeds the draws."""
 
-    rng: RngStream
+    rng: np.random.Generator
     passes: str = "bidirectional"
 
     def __post_init__(self):
@@ -156,11 +156,16 @@ def _pass_rows(a: np.ndarray, gen: np.random.Generator) -> None:
 
 
 def _check_score_bound(w: np.ndarray, passes: str) -> None:
-    """Reject weights whose attachment scores could overflow float64.
+    """Reject weights whose exponential keys could overflow float64.
 
     A pass over an (n_in, n_out) matrix keeps |s| <= n_out * max|w|, so
-    the unnormalized scores sum to at most n_in * (2 * n_out * max|w| + 1).
-    The bidirectional second pass runs on the transpose.
+    the unnormalized scores, each at least 1, sum to at most
+    S = n_in * (2 * n_out * max|w| + 1), and no normalized score is below
+    1/S. A key is an Exp(1) draw divided by a normalized score, and
+    standard_exponential never exceeds about 44.4; 64 is the power of two
+    above that. Requiring 64 * S to be finite therefore keeps every score
+    a normal float and every key finite, so the exponential race alone
+    orders the draw. The bidirectional second pass runs on the transpose.
     """
     n_in, n_out = w.shape
     amax = float(max(w.max(), -w.min()))
@@ -168,9 +173,9 @@ def _check_score_bound(w: np.ndarray, passes: str) -> None:
     if passes == "bidirectional":
         shapes.append((n_out, n_in))
     for rows, cols in shapes:
-        if not math.isfinite(rows * (2.0 * cols * amax + 1.0)):
+        if not math.isfinite(64.0 * rows * (2.0 * cols * amax + 1.0)):
             raise ValueError(
-                f"max |w| = {amax:.3g} overflows the attachment scores of a "
+                f"max |w| = {amax:.3g} overflows the exponential keys of a "
                 f"{rows}x{cols} pass"
             )
 
@@ -182,19 +187,18 @@ def pa_rewire(m, cfg: RewireConfig) -> np.ndarray:
     transpose of the result, and transposes back, so both strength
     distributions collapse. The multiset of weight values is preserved
     exactly in every mode. Raises ValueError when the weights are so large
-    that the attachment scores would overflow.
+    that the exponential keys of the draw would overflow.
     """
     w = validate_matrix(m)
     _check_score_bound(w, cfg.passes)
-    gen = cfg.rng.generator
     # the input-side pass walks the columns of w, i.e. the rows of w.T
     work = w.T.copy()
-    _pass_rows(work, gen)
+    _pass_rows(work, cfg.rng)
     out = work.T.copy()
     del work  # free it before the second pass: one working copy at a time
     if cfg.passes == "bidirectional":
         # the output-side pass walks the rows of the result itself
-        _pass_rows(out, gen)
+        _pass_rows(out, cfg.rng)
     return out
 
 
@@ -209,7 +213,7 @@ def pa_rewire_conv(t, cfg: RewireConfig) -> np.ndarray:
     return pa_rewire(arr.reshape(w * h * z, o), cfg).reshape(arr.shape)
 
 
-def variance_search(spec: InitSpec, k: int, mode: str, rng: RngStream) -> np.ndarray:
+def variance_search(spec: InitSpec, k: int, mode: str, rng: np.random.Generator) -> np.ndarray:
     """Random-search baseline: draw `k` candidate layers, keep one extreme.
 
     Selects the candidate with the smallest (mode="min") or largest
@@ -244,15 +248,15 @@ def rewire_cost_probe(sizes, reps: int = 3, passes: str = "bidirectional", seed:
         raise ValueError("sizes must be nonempty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
-    warm = RngStream(seed, 0, 0)
+    warm = derive_stream(seed, 0, 0)
     pa_rewire(init(InitSpec("kaiming-uniform", 64, 64), warm), RewireConfig(rng=warm, passes=passes))
     table = []
     for idx, n in enumerate(sizes):
-        stream = RngStream(seed, idx, 0)
+        stream = derive_stream(seed, idx, 0)
         w = init(InitSpec("kaiming-uniform", n, n), stream)
         best = float("inf")
         for rep in range(max(1, reps)):
-            cfg = RewireConfig(rng=RngStream(seed, idx, rep + 1), passes=passes)
+            cfg = RewireConfig(rng=derive_stream(seed, idx, rep + 1), passes=passes)
             t0 = time.perf_counter()
             pa_rewire(w, cfg)
             best = min(best, time.perf_counter() - t0)
@@ -271,7 +275,9 @@ class SweepRow:
     rewired_std: float
 
 
-def max_strength_scaling(method: str, sizes, trials: int, rng: RngStream) -> list[SweepRow]:
+def max_strength_scaling(
+    method: str, sizes, trials: int, rng: np.random.Generator
+) -> list[SweepRow]:
     """How the largest |strength| of a square n-by-n layer grows with n.
 
     For each size, `trials` layers are generated from the given stream and

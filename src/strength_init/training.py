@@ -91,27 +91,27 @@ class MlpArch:
         return len(self.layer_sizes) - 1
 
 
+_PA_PASSES = {"pa": "bidirectional", "pa-input": "input-only"}
+
+
 def parse_rewire_mode(mode: str) -> tuple[str, int | None]:
     """Split a rewire-mode string into (kind, K).
 
-    Accepts "none", "pa" / "pa-bidirectional", "pa-input", and
-    "var-min:K" / "var-max:K" with integer K >= 1.
+    Accepts "none", "pa" (bidirectional), "pa-input", and "var-min:K" /
+    "var-max:K" with integer K >= 1.
     """
     mode = str(mode)
-    if mode in ("none", "pa-bidirectional", "pa-input"):
+    if mode == "none" or mode in _PA_PASSES:
         return mode, None
-    if mode == "pa":
-        return "pa-bidirectional", None
-    for kind in ("var-min", "var-max"):
-        if mode == kind or mode.startswith(kind + ":"):
-            k = mode[len(kind) + 1 :] if ":" in mode else ""
-            if not k:
-                raise ValueError(f"{kind} needs a candidate count, e.g. {kind}:50")
-            k = int(k)
-            if k < 1:
-                raise ValueError(f"{kind} candidate count must be >= 1, got {k}")
-            return kind, k
-    raise ValueError(f"unknown rewire mode {mode!r}")
+    kind, _, k = mode.partition(":")
+    if kind not in ("var-min", "var-max"):
+        raise ValueError(f"unknown rewire mode {mode!r}")
+    if not k:
+        raise ValueError(f"{kind} needs a candidate count, e.g. {kind}:50")
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"{kind} candidate count must be >= 1, got {k}")
+    return kind, k
 
 
 @dataclass(frozen=True)
@@ -225,18 +225,12 @@ def build_layer_weights(cfg: TrainConfig) -> list[np.ndarray]:
     for l in range(cfg.arch.n_weight_layers):
         stream = derive_stream(cfg.global_seed, l, cfg.repetition_index)
         spec = InitSpec(cfg.init_method, sizes[l], sizes[l + 1], gain=cfg.init_gain)
-        if kind == "none":
-            w = init(spec, stream)
-        elif kind == "pa-bidirectional":
-            w = pa_rewire(init(spec, stream), RewireConfig(rng=stream, passes="bidirectional"))
-        elif kind == "pa-input":
-            w = pa_rewire(init(spec, stream), RewireConfig(rng=stream, passes="input-only"))
-        elif kind == "var-min":
-            w = variance_search(spec, k, "min", stream)
-        elif kind == "var-max":
-            w = variance_search(spec, k, "max", stream)
+        if kind.startswith("var-"):
+            w = variance_search(spec, k, kind[4:], stream)
         else:
-            raise AssertionError(kind)
+            w = init(spec, stream)
+            if kind in _PA_PASSES:
+                w = pa_rewire(w, RewireConfig(rng=stream, passes=_PA_PASSES[kind]))
         weights.append(w)
     return weights
 

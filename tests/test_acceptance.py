@@ -206,7 +206,7 @@ def test_criterion_07_desk_scale_training():
         return float(np.mean(accs))
 
     base_mean = run_arm("none")
-    pa_mean = run_arm("pa-bidirectional")
+    pa_mean = run_arm("pa")
     assert 91.5 <= base_mean <= 94.5, base_mean
     assert pa_mean >= base_mean, (pa_mean, base_mean)
 

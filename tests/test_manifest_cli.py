@@ -74,6 +74,7 @@ class TestManifest:
             ("alpha", 0.0),
             ("alpha", 5),
             ("dataset", "cifar"),
+            ("baseline_rewire", "pa-bidirectional"),
         ],
     )
     def test_bad_field_rejected_at_load(self, tmp_path, field, value):

@@ -70,8 +70,8 @@ class TestRewireModeParsing:
         "text,expected",
         [
             ("none", ("none", None)),
-            ("pa", ("pa-bidirectional", None)),
-            ("pa-bidirectional", ("pa-bidirectional", None)),
+            ("pa", ("pa", None)),
+            ("var-min:1", ("var-min", 1)),
             ("pa-input", ("pa-input", None)),
             ("var-min:50", ("var-min", 50)),
             ("var-max:7", ("var-max", 7)),
@@ -80,7 +80,9 @@ class TestRewireModeParsing:
     def test_valid(self, text, expected):
         assert parse_rewire_mode(text) == expected
 
-    @pytest.mark.parametrize("text", ["var-min", "var-min:", "var-min:0", "pa-output", "magic"])
+    @pytest.mark.parametrize(
+        "text", ["var-min", "var-min:", "var-min:0", "pa-output", "magic", "pa-bidirectional"]
+    )
     def test_invalid(self, text):
         with pytest.raises(ValueError):
             parse_rewire_mode(text)
