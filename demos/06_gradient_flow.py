@@ -2,7 +2,7 @@
 Gradient flow through the layers
 ================================
 
-During training the harness can log the mean absolute weight gradient of
+During training the harness logs the mean absolute weight gradient of
 every layer, averaged over each epoch's batches. Comparing the trace of a
 baseline model against its rewired twin shows where the backward signal
 grows or shrinks. (With real MNIST the rewired models show a smaller

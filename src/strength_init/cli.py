@@ -1,8 +1,9 @@
 """Command-line pipeline: initialize, rewire, analyze, compare, run.
 
 Every subcommand that draws random numbers (init, rewire, sweep, cost) is
-seedable through --seed. init, rewire and sweep draw from one
-derive_stream(seed, layer, rep) stream and also take --layer/--rep; cost
+seedable through --seed. init and rewire work on one layer of one
+repetition, so they draw from derive_stream(seed, layer, rep) and also
+take --layer/--rep; sweep draws from derive_stream(seed, 0, 0), and cost
 derives every stream it uses from the seed. Training runs only through
 `run`, whose manifest carries its own seed. So any single artifact (a
 layer file, a sweep table, a training run) can be regenerated in
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_int_list, default=[64, 256, 1024, 4096])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--out", default=None)
-    _add_stream_args(p)
+    _add_seed_arg(p)
 
     p = sub.add_parser("compare", help="statistical comparison of two run directories")
     p.add_argument("--baseline", required=True)
@@ -114,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="wall-time scaling probe of the rewiring pass")
     p.add_argument("--sizes", type=_int_list, default=[256, 512, 1024, 2048, 4096])
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--passes", choices=PASS_MODES, default="bidirectional")
     p.add_argument("--out", default=None)
     _add_seed_arg(p)
 
@@ -156,7 +156,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    stream = derive_stream(args.seed, args.layer, args.rep)
+    stream = derive_stream(args.seed, 0, 0)
     rows = max_strength_scaling(args.method, args.sizes, args.trials, stream)
     _emit(sweep_rows_to_csv(rows), args.out)
     return EXIT_OK
@@ -176,7 +176,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    table = rewire_cost_probe(args.sizes, reps=args.reps, passes=args.passes, seed=args.seed)
+    table = rewire_cost_probe(args.sizes, reps=args.reps, seed=args.seed)
     lines = ["n,seconds"] + [f"{n},{t:.6f}" for n, t in table]
     if len(table) >= 2:
         lines.append(f"# log-log slope: {fit_loglog_slope(table):.3f}")

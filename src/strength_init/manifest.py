@@ -55,7 +55,6 @@ class ExperimentManifest:
     data_dir: str | None = None
     alpha: float = 0.05
     jobs: int = 1  # must be 1; kept only because the benchmark passes jobs=1
-    log_gradients: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "arch", MlpArch(self.arch).layer_sizes)
@@ -67,6 +66,10 @@ class ExperimentManifest:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"manifest field {name} must be an integer, got {value!r}") from None
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"manifest field out_dir must be a string, got {self.out_dir!r}")
+        if not isinstance(self.data_dir, (str, type(None))):
+            raise ValueError(f"manifest field data_dir must be a string or null, got {self.data_dir!r}")
         # fail at load time, not after the dataset is read: each declared
         # arm's TrainConfig checks arch, init, rewire and schedule
         if self.dataset not in DATASET_NAMES:
@@ -120,7 +123,6 @@ class ExperimentManifest:
             init_method=self.init_method,
             init_gain=self.init_gain,
             rewire=rewire,
-            log_gradients=self.log_gradients,
         )
 
 
@@ -232,14 +234,12 @@ def plot_export(runs_dir) -> list[Path]:
     """Aggregate a run directory into plot-ready CSV bundles.
 
     Writes curves.csv (per-epoch mean and std of train/val accuracy and
-    validation loss) and, when gradient logging was on, gradients.csv
-    (per-epoch per-layer mean and std of the absolute weight gradient).
-    Returns the written paths.
+    validation loss) and gradients.csv (per-epoch per-layer mean and std
+    of the absolute weight gradient). Returns the written paths.
     """
     runs_dir = Path(runs_dir)
     docs = read_run_dir(runs_dir)
     n_epochs = len(docs[0]["records"])
-    written = []
 
     def column(key):
         return np.asarray([[doc["records"][e][key] for e in range(n_epochs)] for doc in docs])
@@ -253,16 +253,13 @@ def plot_export(runs_dir) -> list[Path]:
         lines.append(f"{e + 1}," + ",".join(cells))
     curves = runs_dir / "curves.csv"
     curves.write_text("\n".join(lines) + "\n")
-    written.append(curves)
 
-    if all("grad_abs_mean" in doc["records"][0] for doc in docs):
-        n_layers = len(docs[0]["records"][0]["grad_abs_mean"])
-        glines = ["epoch,layer,grad_abs_mean,grad_abs_std"]
-        for e in range(n_epochs):
-            for l in range(n_layers):
-                col = np.asarray([doc["records"][e]["grad_abs_mean"][l] for doc in docs])
-                glines.append(f"{e + 1},{l},{col.mean():.17g},{sample_std(col):.17g}")
-        gradients = runs_dir / "gradients.csv"
-        gradients.write_text("\n".join(glines) + "\n")
-        written.append(gradients)
-    return written
+    n_layers = len(docs[0]["records"][0]["grad_abs_mean"])
+    glines = ["epoch,layer,grad_abs_mean,grad_abs_std"]
+    for e in range(n_epochs):
+        for l in range(n_layers):
+            col = np.asarray([doc["records"][e]["grad_abs_mean"][l] for doc in docs])
+            glines.append(f"{e + 1},{l},{col.mean():.17g},{sample_std(col):.17g}")
+    gradients = runs_dir / "gradients.csv"
+    gradients.write_text("\n".join(glines) + "\n")
+    return [curves, gradients]

@@ -235,28 +235,30 @@ def variance_search(spec: InitSpec, k: int, mode: str, rng: np.random.Generator)
     return best
 
 
-def rewire_cost_probe(sizes, reps: int = 3, passes: str = "bidirectional", seed: int = 0):
-    """Wall-time of pa_rewire on square n-by-n layers, one row per size.
+def rewire_cost_probe(sizes, reps: int = 3, seed: int = 0):
+    """Wall-time of bidirectional pa_rewire on square n-by-n layers, one row per size.
 
-    `sizes` must be ascending. Each size is timed `reps` times on the same
-    matrix and the minimum is kept, after one small warmup call, so
-    allocator and frequency-scaling noise does not distort the scaling
-    fit. Returns a list of (n, seconds) tuples.
+    `sizes` must be ascending and `reps` >= 1. Each size is timed `reps`
+    times on the same matrix and the minimum is kept, after one small
+    warmup call, so allocator and frequency-scaling noise does not distort
+    the scaling fit. Returns a list of (n, seconds) tuples.
     """
     sizes = [int(n) for n in sizes]
     if not sizes:
         raise ValueError("sizes must be nonempty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     warm = derive_stream(seed, 0, 0)
-    pa_rewire(init(InitSpec("kaiming-uniform", 64, 64), warm), RewireConfig(rng=warm, passes=passes))
+    pa_rewire(init(InitSpec("kaiming-uniform", 64, 64), warm), RewireConfig(rng=warm))
     table = []
     for idx, n in enumerate(sizes):
         stream = derive_stream(seed, idx, 0)
         w = init(InitSpec("kaiming-uniform", n, n), stream)
         best = float("inf")
-        for rep in range(max(1, reps)):
-            cfg = RewireConfig(rng=derive_stream(seed, idx, rep + 1), passes=passes)
+        for rep in range(reps):
+            cfg = RewireConfig(rng=derive_stream(seed, idx, rep + 1))
             t0 = time.perf_counter()
             pa_rewire(w, cfg)
             best = min(best, time.perf_counter() - t0)

@@ -13,8 +13,8 @@ derived from the global seed alone, so every repetition of an experiment
 sees the same data order and differs only in its weights.
 
 Per epoch the harness records end-of-epoch train accuracy, validation
-accuracy and loss, the learning rate used, and (optionally) the mean
-absolute weight gradient per layer averaged over the epoch's batches.
+accuracy and loss, the learning rate used, and the mean absolute
+weight gradient per layer averaged over the epoch's batches.
 The final model is the epoch with the highest validation accuracy
 (earliest epoch wins ties); test accuracy is evaluated once, there.
 
@@ -41,7 +41,9 @@ whose 784x256 draw also changes with the thread count) use no BLAS.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +100,8 @@ def parse_rewire_mode(mode: str) -> tuple[str, int | None]:
     """Split a rewire-mode string into (kind, K).
 
     Accepts "none", "pa" (bidirectional), "pa-input", and "var-min:K" /
-    "var-max:K" with integer K >= 1.
+    "var-max:K" with K >= 1 in ASCII digits and no leading zero, so each
+    K has one spelling.
     """
     mode = str(mode)
     if mode == "none" or mode in _PA_PASSES:
@@ -106,12 +109,11 @@ def parse_rewire_mode(mode: str) -> tuple[str, int | None]:
     kind, _, k = mode.partition(":")
     if kind not in ("var-min", "var-max"):
         raise ValueError(f"unknown rewire mode {mode!r}")
-    if not k:
-        raise ValueError(f"{kind} needs a candidate count, e.g. {kind}:50")
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"{kind} candidate count must be >= 1, got {k}")
-    return kind, k
+    if not re.fullmatch("[1-9][0-9]*", k):
+        raise ValueError(
+            f"{kind} needs a candidate count >= 1 in plain digits, e.g. {kind}:50, got {mode!r}"
+        )
+    return kind, int(k)
 
 
 @dataclass(frozen=True)
@@ -128,15 +130,16 @@ class TrainConfig:
     init_method: str = "kaiming-uniform"
     init_gain: float = 1.0
     rewire: str = "none"
-    log_gradients: bool = True
 
     def __post_init__(self):
         if self.init_method not in METHODS:
             raise ValueError(f"unknown init method {self.init_method!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.lr0 <= 0.0:
-            raise ValueError(f"lr0 must be > 0, got {self.lr0}")
+        if not (isinstance(self.lr0, numbers.Real) and 0.0 < self.lr0 < math.inf):
+            raise ValueError(f"lr0 must be a finite number > 0, got {self.lr0!r}")
+        if not (isinstance(self.init_gain, numbers.Real) and math.isfinite(self.init_gain)):
+            raise ValueError(f"init_gain must be a finite number, got {self.init_gain!r}")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
             try:
@@ -153,12 +156,11 @@ class RunMetrics:
     """Per-epoch trace plus the final selection of one training run."""
 
     repetition_index: int
-    epochs: int
     train_acc: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     lr: list[float] = field(default_factory=list)
-    grad_abs_mean: list[list[float]] | None = None
+    grad_abs_mean: list[list[float]] = field(default_factory=list)
     convergence_epoch: int = 0
     test_acc: float = 0.0
 
@@ -173,20 +175,18 @@ class RunMetrics:
         }
 
     def epoch_records(self) -> list[dict]:
-        records = []
-        for e in range(len(self.train_acc)):
-            rec = {
+        return [
+            {
                 "type": "epoch",
                 "epoch": e + 1,
                 "train_acc": self.train_acc[e],
                 "val_acc": self.val_acc[e],
                 "val_loss": self.val_loss[e],
                 "lr": self.lr[e],
+                "grad_abs_mean": self.grad_abs_mean[e],
             }
-            if self.grad_abs_mean is not None:
-                rec["grad_abs_mean"] = self.grad_abs_mean[e]
-            records.append(rec)
-        return records
+            for e in range(len(self.train_acc))
+        ]
 
 
 class TrainingDivergedError(RuntimeError):
@@ -314,7 +314,7 @@ def evaluate(weights, biases, features, labels):
 
 # What every member of a population shares: the network, the schedule and
 # the batch order (a function of the global seed alone).
-_SHARED_FIELDS = ("arch", "epochs", "batch_size", "lr0", "momentum", "global_seed", "log_gradients")
+_SHARED_FIELDS = ("arch", "epochs", "batch_size", "lr0", "momentum", "global_seed")
 
 
 def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset) -> RunMetrics:
@@ -370,10 +370,7 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     best_val = [-1.0] * n_pop
     batch_gen = harness_generator(head.global_seed, BATCH_ORDER_DOMAIN)
 
-    runs = [RunMetrics(repetition_index=cfg.repetition_index, epochs=cfg.epochs) for cfg in cfgs]
-    if head.log_gradients:
-        for m in runs:
-            m.grad_abs_mean = []
+    runs = [RunMetrics(repetition_index=cfg.repetition_index) for cfg in cfgs]
 
     x_train, y_train = train_ds.features, train_ds.labels
     n = train_ds.n
@@ -398,10 +395,9 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
                 rep = cfgs[r].repetition_index if n_pop > 1 else None
                 raise TrainingDivergedError(epoch + 1, batch_i + 1, float(losses[r]), rep)
             grads_w, grads_b = _backward(weights, pre, acts, probs, yb)
-            if head.log_gradients:
-                for l, g in enumerate(grads_w):
-                    for r in range(n_pop):
-                        grad_sums[r, l] += float(np.abs(g[r]).mean())
+            for l, g in enumerate(grads_w):
+                for r in range(n_pop):
+                    grad_sums[r, l] += float(np.abs(g[r]).mean())
             n_batches += 1
             # v = momentum * v + g; w -= lr * v, with the gradient's
             # buffer reused for lr * v
@@ -421,8 +417,7 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
             m.val_acc.append(val_acc)
             m.val_loss.append(val_loss)
             m.lr.append(lr)
-            if head.log_gradients:
-                m.grad_abs_mean.append([float(s / n_batches) for s in grad_sums[r]])
+            m.grad_abs_mean.append([float(s / n_batches) for s in grad_sums[r]])
             if val_acc > best_val[r]:
                 best_val[r] = val_acc
                 for src, dst in zip(weights + biases, best_w + best_b):
@@ -437,13 +432,11 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
 
 
 def gradient_flow(metrics: RunMetrics) -> list[tuple[int, int, float]]:
-    """Flatten the logged gradient trace to (epoch, layer, mean |grad|) rows.
+    """Flatten a run's gradient trace to (epoch, layer, mean |grad|) rows.
 
-    One row per epoch and weight matrix, epochs and layers both starting
-    at 1 and 0 respectively. Raises if the run logged no gradients.
+    One row per epoch and weight matrix, epochs and layers starting at 1
+    and 0 respectively.
     """
-    if metrics.grad_abs_mean is None:
-        raise ValueError("gradient logging was disabled for this run")
     rows = []
     for e, per_layer in enumerate(metrics.grad_abs_mean):
         for l, v in enumerate(per_layer):

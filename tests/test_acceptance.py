@@ -200,7 +200,6 @@ def test_criterion_07_desk_scale_training():
                 repetition_index=rep,
                 init_method="kaiming-uniform",
                 rewire=rewire,
-                log_gradients=False,
             )
             accs.append(train(cfg, train_ds, val_ds, test_ds).train_acc[0])
         return float(np.mean(accs))

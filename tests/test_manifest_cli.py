@@ -75,6 +75,14 @@ class TestManifest:
             ("alpha", 5),
             ("dataset", "cifar"),
             ("baseline_rewire", "pa-bidirectional"),
+            ("lr0", float("nan")),
+            ("lr0", float("inf")),
+            ("init_gain", "2"),
+            ("out_dir", 5),
+            ("out_dir", None),
+            ("data_dir", 5),
+            ("baseline_rewire", "var-min:+5"),
+            ("log_gradients", True),
         ],
     )
     def test_bad_field_rejected_at_load(self, tmp_path, field, value):
@@ -254,6 +262,7 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,seconds"
         assert lines[-1].startswith("# log-log slope:")
+        assert main(["cost", "--sizes", "32", "--reps", "0"]) == EXIT_DATA
 
     def test_usage_errors(self):
         assert main(["analyze"]) == EXIT_USAGE
@@ -267,6 +276,11 @@ class TestCli:
         # cost derives its streams from --seed alone, and --rep is not --reps
         assert main(["cost", "--layer", "1"]) == EXIT_USAGE
         assert main(["cost", "--rep", "1"]) == EXIT_USAGE
+        # sweep draws from the stream of layer 0, repetition 0, and cost
+        # always times bidirectional rewiring
+        assert main(["sweep", "--layer", "1"]) == EXIT_USAGE
+        assert main(["sweep", "--rep", "1"]) == EXIT_USAGE
+        assert main(["cost", "--passes", "input-only"]) == EXIT_USAGE
 
     def test_seeded_subcommands_accept_stream_args(self):
         from strength_init.cli import build_parser
@@ -275,12 +289,12 @@ class TestCli:
         stubs = {
             "init": ["--method", "kaiming-uniform", "--rows", "2", "--cols", "2", "--out", "o"],
             "rewire": ["--in", "i", "--out", "o"],
-            "sweep": [],
         }
         for cmd, extra in stubs.items():
             args = parser.parse_args([cmd, *extra, "--seed", "9", "--layer", "1", "--rep", "2"])
             assert (args.seed, args.layer, args.rep) == (9, 1, 2), cmd
-        assert parser.parse_args(["cost", "--seed", "9"]).seed == 9
+        for cmd in ("sweep", "cost"):
+            assert parser.parse_args([cmd, "--seed", "9"]).seed == 9, cmd
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["analyze", "--in", str(tmp_path / "nope.wmat")]) == EXIT_DATA

@@ -100,9 +100,7 @@ def reference_train(cfg, train_ds, val_ds, test_ds):
     vel_b = [np.zeros_like(b) for b in biases]
     batch_gen = harness_generator(cfg.global_seed, BATCH_ORDER_DOMAIN)
 
-    metrics = RunMetrics(repetition_index=cfg.repetition_index, epochs=cfg.epochs)
-    if cfg.log_gradients:
-        metrics.grad_abs_mean = []
+    metrics = RunMetrics(repetition_index=cfg.repetition_index)
 
     x_train, y_train = train_ds.features, train_ds.labels
     n = train_ds.n
@@ -124,9 +122,8 @@ def reference_train(cfg, train_ds, val_ds, test_ds):
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch + 1, batch_i + 1, loss)
             grads_w, grads_b = _ref_backward(weights, pre, acts, probs, yb)
-            if cfg.log_gradients:
-                for l, g in enumerate(grads_w):
-                    grad_sums[l] += float(np.abs(g).mean())
+            for l, g in enumerate(grads_w):
+                grad_sums[l] += float(np.abs(g).mean())
             n_batches += 1
             for l in range(len(weights)):
                 vel_w[l] = cfg.momentum * vel_w[l] + grads_w[l]
@@ -140,8 +137,7 @@ def reference_train(cfg, train_ds, val_ds, test_ds):
         metrics.val_acc.append(val_acc)
         metrics.val_loss.append(val_loss)
         metrics.lr.append(lr)
-        if cfg.log_gradients:
-            metrics.grad_abs_mean.append([float(s / n_batches) for s in grad_sums])
+        metrics.grad_abs_mean.append([float(s / n_batches) for s in grad_sums])
         if val_acc > best_val:
             best_val = val_acc
             best_weights = [w.copy() for w in weights]
@@ -164,7 +160,8 @@ def _task(n, seed):
 
 @pytest.fixture(scope="module")
 def splits():
-    # 290 training rows at batch size 48: the last batch has 2 rows
+    # 290 training rows: at batch size 48 the last batch has 2 rows, at 58
+    # every batch is full
     train_ds, val_ds = split(_task(350, 0), 60, derive_stream(9, 0, 0))
     return train_ds, val_ds, _task(60, 1)
 
@@ -172,29 +169,30 @@ def splits():
 ARCHS = {1: (10, 5), 3: (10, 12, 8, 5)}
 
 
-def _configs(n_pop, n_layers, log_gradients, rewire):
+def _configs(n_pop, n_layers, rewire, batch_size=48):
     rewires = rewire if isinstance(rewire, (list, tuple)) else [rewire] * n_pop
     return [
         TrainConfig(
             arch=MlpArch(ARCHS[n_layers]),
             epochs=3,
-            batch_size=48,
+            batch_size=batch_size,
             lr0=0.2,
             global_seed=13,
             repetition_index=r,
             rewire=rewires[r],
-            log_gradients=log_gradients,
         )
         for r in range(n_pop)
     ]
 
 
 @pytest.mark.parametrize("rewire", REWIRE_MODES)
-@pytest.mark.parametrize("log_gradients", [True, False])
+@pytest.mark.parametrize("ragged_last_batch", [True, False])
 @pytest.mark.parametrize("n_layers", [1, 3])
 @pytest.mark.parametrize("n_pop", [1, 3])
-def test_population_matches_per_repetition_training(splits, n_pop, n_layers, log_gradients, rewire):
-    cfgs = _configs(n_pop, n_layers, log_gradients, rewire)
+def test_population_matches_per_repetition_training(
+    splits, n_pop, n_layers, ragged_last_batch, rewire
+):
+    cfgs = _configs(n_pop, n_layers, rewire, batch_size=48 if ragged_last_batch else 58)
     got = train_population(cfgs, *splits)
     assert len(got) == n_pop
     for cfg, metrics in zip(cfgs, got):
@@ -202,13 +200,13 @@ def test_population_matches_per_repetition_training(splits, n_pop, n_layers, log
 
 
 def test_mixed_rewire_population(splits):
-    cfgs = _configs(3, 3, True, ["none", "pa", "var-max:3"])
+    cfgs = _configs(3, 3, ["none", "pa", "var-max:3"])
     for cfg, metrics in zip(cfgs, train_population(cfgs, *splits)):
         assert metrics.__dict__ == reference_train(cfg, *splits).__dict__
 
 
 def test_members_must_share_schedule(splits):
-    a, b = _configs(2, 1, True, "none")
+    a, b = _configs(2, 1, "none")
     with pytest.raises(ValueError, match="share"):
         train_population([a, replace(b, epochs=4)], *splits)
     with pytest.raises(ValueError):
@@ -218,7 +216,7 @@ def test_members_must_share_schedule(splits):
 def test_population_divergence_names_lowest_repetition(splits):
     # orthogonal weights at gain 1e150 make the first batch's logits
     # overflow float64 for repetitions 1 and 2; repetition 0 trains normally
-    cfgs = _configs(3, 3, True, "none")
+    cfgs = _configs(3, 3, "none")
     cfgs[1:] = [replace(c, init_method="orthogonal", init_gain=1e150) for c in cfgs[1:]]
     with pytest.raises(TrainingDivergedError) as exc:
         train_population(cfgs, *splits)

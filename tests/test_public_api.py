@@ -3,10 +3,12 @@ import from ``strength_init``; every other name comes from its module.
 
 The demos and the README's python blocks are parsed, not run; so are the
 README's ``strength-init`` command lines, against the CLI's own parser, and
-its JSON blocks, as experiment manifests.
+its JSON blocks, as experiment manifests. Every manifest field is named in
+the README.
 """
 
 import ast
+import dataclasses
 import importlib
 import re
 import shlex
@@ -87,3 +89,9 @@ def test_readme_has_a_manifest():
 @pytest.mark.parametrize("text", README_MANIFESTS)
 def test_readme_manifest_loads(text):
     ExperimentManifest.from_json(text)
+
+
+def test_readme_names_every_manifest_field():
+    named = set(re.findall(r"`([a-z_0-9]+)`", (ROOT / "README.md").read_text()))
+    fields = {f.name for f in dataclasses.fields(ExperimentManifest)}
+    assert fields <= named, sorted(fields - named)

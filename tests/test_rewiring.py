@@ -320,6 +320,8 @@ class TestCostProbe:
     def test_sizes_must_ascend(self):
         with pytest.raises(ValueError):
             rewire_cost_probe([128, 64])
+        with pytest.raises(ValueError, match="reps"):
+            rewire_cost_probe([64], reps=0)
 
     def test_slope_of_exact_quadratic(self):
         table = [(n, 1e-9 * n * n) for n in (64, 128, 256, 512)]

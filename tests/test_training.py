@@ -81,7 +81,12 @@ class TestRewireModeParsing:
         assert parse_rewire_mode(text) == expected
 
     @pytest.mark.parametrize(
-        "text", ["var-min", "var-min:", "var-min:0", "pa-output", "magic", "pa-bidirectional"]
+        "text",
+        [
+            "var-min", "var-min:", "var-min:0", "pa-output", "magic", "pa-bidirectional",
+            # one spelling per K: ASCII digits, no sign, space, underscore or leading zero
+            "var-min: 5", "var-min:+5", "var-min:5_0", "var-max:\u0663", "var-min:05",
+        ],
     )
     def test_invalid(self, text):
         with pytest.raises(ValueError):
@@ -209,12 +214,6 @@ class TestTrain:
             train(toy_config(epochs=3), huge, val_ds, test_ds)
         assert exc.value.epoch >= 1
         assert not math.isfinite(exc.value.loss)
-
-    def test_gradient_logging_optional(self, toy_splits):
-        metrics = train(toy_config(log_gradients=False), *toy_splits)
-        assert metrics.grad_abs_mean is None
-        with pytest.raises(ValueError):
-            gradient_flow(metrics)
 
     def test_gradient_flow_table(self, toy_splits):
         metrics = train(toy_config(), *toy_splits)
