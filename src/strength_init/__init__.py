@@ -2,7 +2,8 @@
 neural-network weights, with the training and statistics harness needed to
 measure the effect.
 
-The package is organized around plain float64 numpy arrays:
+The package is organized around plain numpy arrays, float64 weights and
+uint8 image pixels:
 
 - ``matrix_io``     weight-matrix representation, WMAT serialization,
                     conv filter-bank reshaping

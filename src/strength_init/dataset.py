@@ -5,11 +5,11 @@ uint8 payload: the magic number, whose low byte is the rank, then one
 field per dimension. Images carry magic 0x00000803 and (count, rows,
 cols), labels carry magic 0x00000801 and (count,). Files may be plain or
 gzip-compressed (detected by the .gz suffix). Pixels are flattened;
-load_named_pixels keeps them uint8 and scale_pixels turns a part into
-float64 in [0, 1] with one allocation. An experiment splits the uint8
-training pixels and scales the parts after the split, so the training
-pixels are held in float64 once (load_named_dataset scales on load).
-Labels stay integer class ids.
+load_named_pixels keeps them uint8, and pixels_to_float is the one rule
+that scales them to float64 in [0, 1]: scale_pixels (and so
+load_named_dataset) applies it to a whole dataset, while an experiment
+keeps its splits uint8 and training applies it one batch or evaluation
+chunk at a time. Labels stay integer class ids.
 
 The experiment protocol holds out a validation set sampled once from the
 training set (same size as the test set); the split is a function of the
@@ -42,6 +42,7 @@ __all__ = [
     "dataset_paths",
     "load_named_pixels",
     "load_named_dataset",
+    "pixels_to_float",
     "scale_pixels",
 ]
 
@@ -74,7 +75,7 @@ class IdxCountMismatchError(IdxError):
 class Dataset:
     """Flat features plus integer labels."""
 
-    features: np.ndarray  # (n, d) uint8 pixels, or float64 in [0, 1] once scaled
+    features: np.ndarray  # (n, d) uint8 pixels, or float64 features such as scaled pixels
     labels: np.ndarray    # (n,) int64
 
     def __post_init__(self):
@@ -159,12 +160,17 @@ def _load_idx_pixels(images_path, labels_path) -> Dataset:
     return Dataset(images.reshape(images.shape[0], -1), labels.astype(np.int64))
 
 
-def scale_pixels(dataset: Dataset) -> Dataset:
-    """The same samples with uint8 pixels scaled to float64 in [0, 1].
+def pixels_to_float(pixels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """uint8 pixels as float64 in [0, 1], into `out` when given.
 
-    One allocation; the bits equal those of astype(np.float64) / 255.0.
+    The bits equal astype(np.float64) / 255.0 with or without `out`.
     """
-    return Dataset(np.divide(dataset.features, 255.0, dtype=np.float64), dataset.labels)
+    return np.divide(pixels, 255.0, out=out, dtype=np.float64)
+
+
+def scale_pixels(dataset: Dataset) -> Dataset:
+    """The same samples with uint8 pixels scaled to float64 in [0, 1]."""
+    return Dataset(pixels_to_float(dataset.features), dataset.labels)
 
 
 def split(dataset: Dataset, test_size: int, rng: np.random.Generator) -> tuple[Dataset, Dataset]:

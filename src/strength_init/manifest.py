@@ -13,22 +13,23 @@ count: OPENBLAS_NUM_THREADS=1 and =2 give different training digests
 
 Each arm trains as one lock-step population (training.train_population);
 its only parallelism is the BLAS threads inside the population's matmuls.
+The data stays uint8 pixels: both arms share one split, and the engine
+scales each batch and evaluation chunk as it uses it.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import DATASET_NAMES, load_named_pixels, scale_pixels, split
+from .dataset import DATASET_NAMES, load_named_pixels, split
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import COMPARE_METRICS, compare, sample_std
-from .training import MlpArch, TrainConfig, train_population
+from .training import MlpArch, TrainConfig, _index, train_population
 
 __all__ = ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir", "resolve_data_dir"]
 
@@ -59,11 +60,11 @@ class ExperimentManifest:
     def __post_init__(self):
         object.__setattr__(self, "arch", MlpArch(self.arch).layer_sizes)
         # stored as plain ints so to_json can write them; numpy integers
-        # pass, 1.5 does not
+        # pass, 1.5 and true do not
         for name in ("repetitions", "epochs", "batch_size", "global_seed", "jobs"):
             value = getattr(self, name)
             try:
-                object.__setattr__(self, name, operator.index(value))
+                object.__setattr__(self, name, _index(value))
             except TypeError:
                 raise ValueError(f"manifest field {name} must be an integer, got {value!r}") from None
         if not isinstance(self.out_dir, str):
@@ -137,17 +138,15 @@ def resolve_data_dir(explicit=None) -> Path:
 
 
 def _prepare_data(manifest: ExperimentManifest):
-    """(train, validation, test) with float64 features in [0, 1].
+    """(train, validation, test) with uint8 pixel features.
 
-    The split runs on the uint8 pixels, so only the three scaled parts
-    are ever held in float64.
+    No part is scaled here: training scales each batch and evaluation
+    chunk as it uses it, so no float64 copy of the pixels is held.
     """
     data_dir = resolve_data_dir(manifest.data_dir)
-    train_full, test_pixels = load_named_pixels(data_dir, manifest.dataset)
+    train_full, test = load_named_pixels(data_dir, manifest.dataset)
     split_gen = harness_generator(manifest.global_seed, SPLIT_DOMAIN)
-    train_pixels, val_pixels = split(train_full, test_pixels.n, split_gen)
-    del train_full
-    return tuple(scale_pixels(part) for part in (train_pixels, val_pixels, test_pixels))
+    return (*split(train_full, test.n, split_gen), test)
 
 
 def _run_population(manifest: ExperimentManifest, rewire: str, arm_dir: Path, data) -> list[dict]:

@@ -26,10 +26,15 @@ GEMM per repetition as training it alone. Every other step is
 elementwise or runs on one repetition's contiguous slice, so a
 population's metrics are bit-identical to training each repetition by
 itself. The engine holds R copies each of the weights, the velocities
-and the best-epoch snapshot; the end-of-epoch evaluations walk the
-repetitions one at a time, so their memory does not grow with R. A
-population stops with TrainingDivergedError at the first batch where any
-member's loss is non-finite, naming the lowest such repetition.
+and the best-epoch snapshot. A population stops with
+TrainingDivergedError at the first batch where any member's loss is
+non-finite, naming the lowest such repetition.
+
+Features may be float64 or uint8 pixels; pixels are scaled
+(dataset.pixels_to_float) one gathered batch or evaluation chunk at a
+time, with the same bits as scaling them all up front. Evaluations run
+chunks outer, members inner: each chunk is scaled once into a reused
+buffer and every repetition runs its own forward pass on it.
 
 Bit-identity holds on the same platform, with the same numpy/BLAS build
 and the same BLAS thread count: on a 2-vCPU machine with OpenBLAS 0.3.31,
@@ -48,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, pixels_to_float
 from .initializers import METHODS, InitSpec, init
 from .rewiring import RewireConfig, pa_rewire, variance_search
 from .rng import BATCH_ORDER_DOMAIN, derive_stream, harness_generator
@@ -70,6 +75,17 @@ __all__ = [
 _EVAL_CHUNK = 8192
 
 
+def _index(value) -> int:
+    """operator.index, refusing bool: True would pass as 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MlpArch:
     """Layer widths from input to output, e.g. (784, 64, 64, 10)."""
@@ -78,8 +94,8 @@ class MlpArch:
 
     def __post_init__(self):
         try:
-            # numpy integers pass; "1684" and 8.7 do not
-            sizes = tuple(operator.index(s) for s in self.layer_sizes)
+            # numpy integers pass; "1684", 8.7 and True do not
+            sizes = tuple(_index(s) for s in self.layer_sizes)
         except TypeError:
             raise TypeError(f"layer sizes must be integers, got {self.layer_sizes!r}") from None
         object.__setattr__(self, "layer_sizes", sizes)
@@ -134,16 +150,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.init_method not in METHODS:
             raise ValueError(f"unknown init method {self.init_method!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not (isinstance(self.lr0, numbers.Real) and 0.0 < self.lr0 < math.inf):
+        if not (_real(self.momentum) and 0.0 <= self.momentum < 1.0):
+            raise ValueError(f"momentum must be a number in [0, 1), got {self.momentum!r}")
+        if not (_real(self.lr0) and 0.0 < self.lr0 < math.inf):
             raise ValueError(f"lr0 must be a finite number > 0, got {self.lr0!r}")
-        if not (isinstance(self.init_gain, numbers.Real) and math.isfinite(self.init_gain)):
+        if not (_real(self.init_gain) and math.isfinite(self.init_gain)):
             raise ValueError(f"init_gain must be a finite number, got {self.init_gain!r}")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
             try:
-                operator.index(value)  # numpy integers pass, 2.5 does not
+                _index(value)  # numpy integers pass, 2.5 and True do not
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.epochs < 1 or self.batch_size < 1:
@@ -296,20 +312,38 @@ def _backward(weights, pre, acts, probs, labels):
     return grads_w, grads_b
 
 
-def evaluate(weights, biases, features, labels):
-    """Accuracy (percent) and mean loss of a model over a dataset."""
+def _float_rows(rows, out=None):
+    """Rows ready to multiply: uint8 pixels scaled to float64 (into `out`
+    when given), float features as they are."""
+    return pixels_to_float(rows, out) if rows.dtype == np.uint8 else rows
+
+
+def _evaluate_members(members, features, labels, buf=None):
+    """(accuracy in percent, mean loss) of each (weights, biases) model.
+
+    Each _EVAL_CHUNK rows are scaled once, into `buf` when given, and
+    every member runs its own forward pass on them; a member's sums add
+    up chunk by chunk, so the other members do not change its bits.
+    """
     n = features.shape[0]
     chunk = _EVAL_CHUNK
-    correct = 0
-    loss_sum = 0.0
+    correct = [0] * len(members)
+    loss_sum = [0.0] * len(members)
     for start in range(0, n, chunk):
-        x = features[start : start + chunk]
+        rows = features[start : start + chunk]
+        x = _float_rows(rows, None if buf is None else buf[: rows.shape[0]])
         y = labels[start : start + chunk]
-        logits = _forward(weights, biases, x)
-        loss, _ = _softmax_ce(logits, y)
-        loss_sum += float(loss) * x.shape[0]
-        correct += int(np.count_nonzero(logits.argmax(axis=1) == y))
-    return 100.0 * correct / n, loss_sum / n
+        for r, (weights, biases) in enumerate(members):
+            logits = _forward(weights, biases, x)
+            loss, _ = _softmax_ce(logits, y)
+            loss_sum[r] += float(loss) * x.shape[0]
+            correct[r] += int(np.count_nonzero(logits.argmax(axis=1) == y))
+    return [(100.0 * c / n, s / n) for c, s in zip(correct, loss_sum)]
+
+
+def evaluate(weights, biases, features, labels):
+    """Accuracy (percent) and mean loss of a model over a dataset."""
+    return _evaluate_members([(weights, biases)], features, labels)[0]
 
 
 # What every member of a population shares: the network, the schedule and
@@ -336,7 +370,8 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     (R, n_in, n_out) weights. That matmul issues the same GEMM per member
     as training the member alone, and every other step is elementwise or
     runs on the member's own contiguous slice, so each RunMetrics is
-    bit-identical to training that config by itself.
+    bit-identical to training that config by itself, and uint8 pixels
+    give the same metrics as their scale_pixels copy.
 
     Raises TrainingDivergedError at the first batch where any member's
     loss is non-finite, naming the lowest such repetition when R > 1.
@@ -371,6 +406,12 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     batch_gen = harness_generator(head.global_seed, BATCH_ORDER_DOMAIN)
 
     runs = [RunMetrics(repetition_index=cfg.repetition_index) for cfg in cfgs]
+    # per-member views; the updates below write the stacks in place
+    members = [([w[r] for w in weights], [b[r] for b in biases]) for r in range(n_pop)]
+    best_members = [([w[r] for w in best_w], [b[r] for b in best_b]) for r in range(n_pop)]
+    # scaled pixel chunks of every evaluation; float features leave it untouched
+    max_rows = max(ds.n for ds in (train_ds, val_ds, test_ds))
+    eval_buf = np.empty((min(_EVAL_CHUNK, max_rows), sizes[0]))
 
     x_train, y_train = train_ds.features, train_ds.labels
     n = train_ds.n
@@ -383,7 +424,7 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
         n_batches = 0
         for batch_i, start in enumerate(range(0, n, head.batch_size)):
             idx = perm[start : start + head.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
+            xb, yb = _float_rows(x_train[idx]), y_train[idx]
             # a diverging run overflows before the loss check catches it;
             # the check is the detector, so keep the overflow quiet
             with np.errstate(over="ignore", invalid="ignore"):
@@ -408,11 +449,11 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
                 np.multiply(vel, lr, out=grad)
                 np.subtract(param, grad, out=param)
 
+        train_evals = _evaluate_members(members, x_train, y_train, eval_buf)
+        val_evals = _evaluate_members(members, val_ds.features, val_ds.labels, eval_buf)
         for r, m in enumerate(runs):
-            w_r = [w[r] for w in weights]
-            b_r = [b[r] for b in biases]
-            train_acc, _ = evaluate(w_r, b_r, x_train, y_train)
-            val_acc, val_loss = evaluate(w_r, b_r, val_ds.features, val_ds.labels)
+            train_acc, _ = train_evals[r]
+            val_acc, val_loss = val_evals[r]
             m.train_acc.append(train_acc)
             m.val_acc.append(val_acc)
             m.val_loss.append(val_loss)
@@ -424,10 +465,9 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
                     dst[r] = src[r]
                 m.convergence_epoch = epoch + 1
 
-    for r, m in enumerate(runs):
-        m.test_acc, _ = evaluate(
-            [w[r] for w in best_w], [b[r] for b in best_b], test_ds.features, test_ds.labels
-        )
+    test_evals = _evaluate_members(best_members, test_ds.features, test_ds.labels, eval_buf)
+    for m, (test_acc, _) in zip(runs, test_evals):
+        m.test_acc = test_acc
     return runs
 
 

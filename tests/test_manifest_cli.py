@@ -8,7 +8,7 @@ import pytest
 from helpers import make_synthetic_mnist
 
 from strength_init.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from strength_init.dataset import load_named_dataset, split
+from strength_init.dataset import load_named_dataset, load_named_pixels, scale_pixels, split
 from strength_init.manifest import (
     ExperimentManifest,
     _prepare_data,
@@ -83,6 +83,14 @@ class TestManifest:
             ("data_dir", 5),
             ("baseline_rewire", "var-min:+5"),
             ("log_gradients", True),
+            ("epochs", True),
+            ("repetitions", True),
+            ("lr0", True),
+            ("init_gain", False),
+            ("arch", [784, True]),
+            ("momentum", False),
+            ("global_seed", True),
+            ("jobs", True),
         ],
     )
     def test_bad_field_rejected_at_load(self, tmp_path, field, value):
@@ -173,17 +181,30 @@ class TestManifest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the same data as scaling on load and splitting the float64 set
+        # the parts are the uint8 split of the pixels, byte for byte
+        train_pixels, test_pixels = load_named_pixels(root, "mnist")
+        split_gen = harness_generator(m.global_seed, SPLIT_DOMAIN)
+        pixel_parts = (*split(train_pixels, test_pixels.n, split_gen), test_pixels)
+        for got, want in zip(parts, pixel_parts, strict=True):
+            assert got.features.dtype == want.features.dtype == np.uint8
+            assert got.labels.dtype == want.labels.dtype == np.int64
+            assert got.features.tobytes() == want.features.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
+        # scaling a part gives the bits of splitting the scaled-on-load set
         train_full, test = load_named_dataset(root, "mnist")
         split_gen = harness_generator(m.global_seed, SPLIT_DOMAIN)
         for got, want in zip(parts, (*split(train_full, test.n, split_gen), test), strict=True):
-            assert got.features.dtype == want.features.dtype == np.float64
-            assert got.labels.dtype == want.labels.dtype
-            assert np.array_equal(got.features, want.features)
-            assert np.array_equal(got.labels, want.labels)
-        # the training pixels are never held in float64 twice
+            scaled = scale_pixels(got)
+            assert scaled.features.dtype == want.features.dtype == np.float64
+            assert scaled.features.tobytes() == want.features.tobytes()
+            assert np.array_equal(scaled.labels, want.labels)
+        # no float64 copy: at most two uint8 copies of the pixels (a file's
+        # payload and its array, or the full training set and its split)
+        # and two of the int64 labels are held at once
         raw_pixel_bytes = (n_train + n_test) * side * side
-        assert peak <= sum(p.features.nbytes for p in parts) + 2 * raw_pixel_bytes
+        label_bytes = (n_train + n_test) * 8
+        assert sum(p.features.nbytes for p in parts) == raw_pixel_bytes
+        assert peak <= 2 * raw_pixel_bytes + 2 * label_bytes
 
     def test_rerun_into_used_out_dir_refused(self, data_dir, tmp_path, capsys):
         # the old rep files would be averaged into the new run's curves and

@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from strength_init.dataset import Dataset, split
+from strength_init import training
+from strength_init.dataset import Dataset, scale_pixels, split
 from strength_init.rng import BATCH_ORDER_DOMAIN, derive_stream, harness_generator
 from strength_init.training import (
     MlpArch,
@@ -230,3 +231,22 @@ def test_population_divergence_names_lowest_repetition(splits):
     assert (alone.value.epoch, alone.value.batch, alone.value.repetition) == (1, 1, None)
     assert str(alone.value) == f"non-finite loss {alone.value.loss} at epoch 1, batch 1"
     assert train(cfgs[0], *splits).__dict__ == reference_train(cfgs[0], *splits).__dict__
+
+
+@pytest.mark.parametrize("eval_chunk", [8192, 7])
+def test_pixels_train_like_their_scaled_copy(monkeypatch, eval_chunk):
+    # uint8 features are scaled one batch and one evaluation chunk at a
+    # time; the metrics must equal those of training on scale_pixels of
+    # them. A 7-row chunk ends each split on a partial slice of the buffer.
+    gen = np.random.default_rng(5)
+    labels = gen.integers(0, 5, size=410).astype(np.int64)
+    centers = gen.integers(40, 216, size=(5, 10))
+    pixels = np.clip(centers[labels] + gen.integers(-40, 41, size=(410, 10)), 0, 255).astype(np.uint8)
+    full, test = Dataset(pixels[:350], labels[:350]), Dataset(pixels[350:], labels[350:])
+    parts = (*split(full, 60, derive_stream(9, 0, 0)), test)
+    monkeypatch.setattr(training, "_EVAL_CHUNK", eval_chunk)
+    cfgs = _configs(3, 3, ["none", "pa", "var-max:3"])
+    got = train_population(cfgs, *parts)
+    want = train_population(cfgs, *(scale_pixels(p) for p in parts))
+    assert [m.__dict__ for m in got] == [m.__dict__ for m in want]
+    assert got[0].train_acc[-1] > 20.0  # the task is learned, not a constant

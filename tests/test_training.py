@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from strength_init import training
-from strength_init.dataset import Dataset, split
+from strength_init.dataset import Dataset, scale_pixels, split
 from strength_init.rng import derive_stream
 from strength_init.training import (
     MlpArch,
@@ -254,6 +254,13 @@ class TestEvaluate:
         a2 = evaluate(ws, bs, feats, labels)
         assert a1[0] == a2[0]
         assert abs(a1[1] - a2[1]) < 1e-12
+        # uint8 pixels, scaled chunk by chunk (100 rows in chunks of 7 end
+        # on a 2-row tail), give the bits of evaluating their scaled copy
+        pixels = rng.integers(0, 256, size=(100, 6), dtype=np.uint8)
+        scaled = scale_pixels(Dataset(pixels, labels)).features
+        for chunk in (7, 100):
+            monkeypatch.setattr(training, "_EVAL_CHUNK", chunk)
+            assert evaluate(ws, bs, pixels, labels) == evaluate(ws, bs, scaled, labels)
 
 
 class TestConfigValidation:
@@ -272,6 +279,18 @@ class TestConfigValidation:
     def test_bad_rewire(self):
         with pytest.raises(ValueError):
             toy_config(rewire="shuffle")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", True), ("batch_size", True), ("lr0", True), ("init_gain", False), ("momentum", False)],
+    )
+    def test_bool_is_not_a_number(self, field, value):
+        with pytest.raises(ValueError):
+            toy_config(**{field: value})
+
+    def test_bool_is_not_a_layer_size(self):
+        with pytest.raises(TypeError):
+            MlpArch((784, True))
 
     def test_summary_fields(self, toy_splits):
         metrics = train(toy_config(), *toy_splits)
