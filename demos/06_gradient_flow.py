@@ -12,7 +12,7 @@ epochs; the tiny synthetic task here just demonstrates the machinery.)
 
 import numpy as np
 
-from strength_init import MlpArch, TrainConfig, gradient_flow, split, train
+from strength_init import MlpArch, TrainConfig, split, train
 from strength_init.dataset import Dataset
 from strength_init.rng import derive_stream
 
@@ -35,10 +35,8 @@ for rewire in ("none", "pa"):
         rewire=rewire,
     )
     metrics = train(cfg, train_ds, val_ds, test_ds)
-    rows = gradient_flow(metrics)
     print(f"\nrewire={rewire}: mean |grad| per (epoch, layer)")
     n_layers = cfg.arch.n_weight_layers
     print("epoch  " + "  ".join(f"layer {l}" for l in range(n_layers)))
-    for e in range(cfg.epochs):
-        vals = [v for (ep, l, v) in rows if ep == e + 1]
+    for e, vals in enumerate(metrics.grad_abs_mean):
         print(f"{e + 1:5d}  " + "  ".join(f"{v:7.5f}" for v in vals))

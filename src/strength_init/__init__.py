@@ -40,7 +40,7 @@ from .rng import derive_stream
 from .strength import strength_stats, strengths
 from .dataset import split
 from .manifest import ExperimentManifest, run_manifest
-from .training import MlpArch, TrainConfig, gradient_flow, train
+from .training import MlpArch, TrainConfig, train
 
 __all__ = [
     "__version__",
@@ -62,5 +62,4 @@ __all__ = [
     "MlpArch",
     "TrainConfig",
     "train",
-    "gradient_flow",
 ]

@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .initializers import _index
+
 __all__ = [
     "IMAGE_MAGIC",
     "LABEL_MAGIC",
@@ -180,7 +182,10 @@ def split(dataset: Dataset, test_size: int, rng: np.random.Generator) -> tuple[D
     Generator `rng`; both sides keep ascending original order so the
     training shuffle alone controls presentation order.
     """
-    test_size = int(test_size)
+    try:
+        test_size = _index(test_size)  # 2.9 would truncate to 2
+    except TypeError:
+        raise ValueError(f"test_size must be an integer, got {test_size!r}") from None
     if test_size < 0:
         raise ValueError("test_size must be >= 0")
     if test_size >= dataset.n:

@@ -16,6 +16,8 @@ scales:
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,19 @@ METHODS = (
 )
 
 
+# The package's rules for integer and real arguments. This module imports
+# nothing from the package, so every other module can use them.
+def _index(value) -> int:
+    """operator.index, refusing bool: True would pass as 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class InitSpec:
     """Which initializer to run and at what shape."""
@@ -44,8 +59,14 @@ class InitSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown init method {self.method!r}, expected one of {METHODS}")
+        try:
+            _index(self.rows), _index(self.cols)  # numpy integers pass, 8.0 and True do not
+        except TypeError:
+            raise ValueError(f"rows and cols must be integers, got ({self.rows!r}, {self.cols!r})") from None
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"rows and cols must be >= 1, got ({self.rows}, {self.cols})")
+        if not (_real(self.gain) and math.isfinite(self.gain)):
+            raise ValueError(f"gain must be a finite number, got {self.gain!r}")
 
 
 def init(spec: InitSpec, rng: np.random.Generator) -> np.ndarray:

@@ -27,13 +27,18 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import DATASET_NAMES, load_named_pixels, split
+from .initializers import _index
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import COMPARE_METRICS, compare, sample_std
-from .training import MlpArch, TrainConfig, _index, train_population
+from .training import MlpArch, TrainConfig, train_population
 
 __all__ = ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir", "resolve_data_dir"]
 
 DATA_ENV_VAR = "STRENGTH_INIT_DATA"
+
+# The manifest fields every repetition's TrainConfig takes as they are;
+# TrainConfig keeps their defaults.
+_SCHEDULE = ("init_method", "init_gain", "global_seed", "epochs", "batch_size", "lr0", "momentum")
 
 
 @dataclass(frozen=True)
@@ -43,16 +48,16 @@ class ExperimentManifest:
     dataset: str
     arch: tuple[int, ...]
     out_dir: str
-    init_method: str = "kaiming-uniform"
-    init_gain: float = 1.0
+    init_method: str = TrainConfig.init_method
+    init_gain: float = TrainConfig.init_gain
     baseline_rewire: str = "none"
     treatment_rewire: str | None = None
-    global_seed: int = 0
+    global_seed: int = TrainConfig.global_seed
     repetitions: int = 100  # the full protocol's population size; desk runs override
-    epochs: int = 100
-    batch_size: int = 128
-    lr0: float = 0.01
-    momentum: float = 0.9
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    lr0: float = TrainConfig.lr0
+    momentum: float = TrainConfig.momentum
     data_dir: str | None = None
     alpha: float = 0.05
     jobs: int = 1  # must be 1; kept only because the benchmark passes jobs=1
@@ -113,18 +118,8 @@ class ExperimentManifest:
         return cls.from_json(Path(path).read_text())
 
     def train_config(self, rewire: str, repetition: int) -> TrainConfig:
-        return TrainConfig(
-            arch=MlpArch(self.arch),
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr0=self.lr0,
-            momentum=self.momentum,
-            global_seed=self.global_seed,
-            repetition_index=repetition,
-            init_method=self.init_method,
-            init_gain=self.init_gain,
-            rewire=rewire,
-        )
+        schedule = {name: getattr(self, name) for name in _SCHEDULE}
+        return TrainConfig(MlpArch(self.arch), repetition_index=repetition, rewire=rewire, **schedule)
 
 
 def resolve_data_dir(explicit=None) -> Path:

@@ -28,7 +28,10 @@ output-side sums untouched; running the same pass on the transpose of the
 result ("bidirectional") collapses both sides.
 
 The draw is the exponential race of Efraimidis & Spirakis, "Weighted
-random sampling with a reservoir" (IPL 2006); see weighted_draw_order.
+random sampling with a reservoir" (IPL 2006): neuron i gets an
+Exp(1)/P(i) arrival time and the draw order is the arrival order. Its
+per-column form, weighted_draw_order in tests/helpers.py, is the
+reference the blocked passes below are tested against.
 
 Memory: besides the caller's input, pa_rewire holds one working copy of
 the matrix plus the output, never more. The input-side pass runs in place
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initializers import InitSpec, init
+from .initializers import InitSpec, _index, init
 from .matrix_io import validate_conv, validate_matrix
 from .rng import derive_stream
 from .strength import strengths
@@ -54,7 +57,6 @@ __all__ = [
     "PASS_MODES",
     "RewireConfig",
     "attachment_scores",
-    "weighted_draw_order",
     "pa_rewire",
     "pa_rewire_conv",
     "variance_search",
@@ -95,21 +97,6 @@ def attachment_scores(s: np.ndarray) -> np.ndarray:
     return p
 
 
-def weighted_draw_order(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Draw all indices sequentially, without replacement, weighted by `p`.
-
-    Implemented as an exponential race: index i gets an Exp(1)/p[i] arrival
-    time and the draw order is the arrival order. The minimum of
-    independent exponentials with rates p[i] lands on i with probability
-    p[i]/sum(p), and by memorylessness the remaining arrivals replay the
-    same race on the survivors, which is exactly sequential weighted sampling with
-    renormalization after each draw, in O(n log n). The passes draw the
-    same keys in blocks of rows; this per-column form is their reference.
-    """
-    keys = gen.standard_exponential(p.shape[0]) / p
-    return np.argsort(keys)
-
-
 def _restore_negative_zeros(rows: np.ndarray, sorted_rows: np.ndarray) -> None:
     """Give each sorted row as many -0.0 as the same unsorted row held.
 
@@ -134,7 +121,8 @@ def _pass_rows(a: np.ndarray, gen: np.random.Generator) -> None:
     about _BLOCK values. A block's rows are sorted when the block starts:
     a row is untouched until its own turn, so this equals sorting every
     row up front. Its exponential keys come from one draw, which yields
-    the same stream as one draw of len(row) values per row.
+    the same stream as one draw of len(row) values per row, so each row
+    is placed in the order weighted_draw_order (tests/helpers.py) gives.
     """
     n_rows, n = a.shape
     if n_rows == 1 or n == 1:
@@ -235,6 +223,17 @@ def variance_search(spec: InitSpec, k: int, mode: str, rng: np.random.Generator)
     return best
 
 
+def _sizes(sizes) -> list[int]:
+    """The layer sizes of a probe or sweep; 64.9 and True are refused, not truncated."""
+    try:
+        sizes = [_index(n) for n in sizes]
+    except TypeError:
+        raise ValueError(f"sizes must be integers, got {sizes!r}") from None
+    if not sizes:
+        raise ValueError("sizes must be nonempty")
+    return sizes
+
+
 def rewire_cost_probe(sizes, reps: int = 3, seed: int = 0):
     """Wall-time of bidirectional pa_rewire on square n-by-n layers, one row per size.
 
@@ -243,9 +242,7 @@ def rewire_cost_probe(sizes, reps: int = 3, seed: int = 0):
     warmup call, so allocator and frequency-scaling noise does not distort
     the scaling fit. Returns a list of (n, seconds) tuples.
     """
-    sizes = [int(n) for n in sizes]
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
+    sizes = _sizes(sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
     if reps < 1:
@@ -288,9 +285,7 @@ def max_strength_scaling(
     show a max|s| that keeps growing with size; rewiring pushes it down at
     every size.
     """
-    sizes = [int(n) for n in sizes]
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
+    sizes = _sizes(sizes)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows = []

@@ -46,15 +46,13 @@ whose 784x256 draw also changes with the thread count) use no BLAS.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset, pixels_to_float
-from .initializers import METHODS, InitSpec, init
+from .initializers import METHODS, InitSpec, _index, _real, init
 from .rewiring import RewireConfig, pa_rewire, variance_search
 from .rng import BATCH_ORDER_DOMAIN, derive_stream, harness_generator
 
@@ -68,22 +66,10 @@ __all__ = [
     "build_layer_weights",
     "train",
     "train_population",
-    "gradient_flow",
     "evaluate",
 ]
 
 _EVAL_CHUNK = 8192
-
-
-def _index(value) -> int:
-    """operator.index, refusing bool: True would pass as 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -156,7 +142,7 @@ class TrainConfig:
             raise ValueError(f"lr0 must be a finite number > 0, got {self.lr0!r}")
         if not (_real(self.init_gain) and math.isfinite(self.init_gain)):
             raise ValueError(f"init_gain must be a finite number, got {self.init_gain!r}")
-        for name in ("epochs", "batch_size"):
+        for name in ("epochs", "batch_size", "global_seed", "repetition_index"):
             value = getattr(self, name)
             try:
                 _index(value)  # numpy integers pass, 2.5 and True do not
@@ -164,6 +150,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.repetition_index < 0:
+            raise ValueError(f"repetition_index must be >= 0, got {self.repetition_index}")
         parse_rewire_mode(self.rewire)
 
 
@@ -469,16 +457,3 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     for m, (test_acc, _) in zip(runs, test_evals):
         m.test_acc = test_acc
     return runs
-
-
-def gradient_flow(metrics: RunMetrics) -> list[tuple[int, int, float]]:
-    """Flatten a run's gradient trace to (epoch, layer, mean |grad|) rows.
-
-    One row per epoch and weight matrix, epochs and layers starting at 1
-    and 0 respectively.
-    """
-    rows = []
-    for e, per_layer in enumerate(metrics.grad_abs_mean):
-        for l, v in enumerate(per_layer):
-            rows.append((e + 1, l, v))
-    return rows

@@ -1,5 +1,6 @@
-"""Helpers shared between test modules: a synthetic IDX dataset and the
-closed-form oracles the initializer and strength tests compare against."""
+"""Helpers shared between test modules: a synthetic IDX dataset, the
+closed-form oracles the initializer and strength tests compare against,
+and the per-column draw the rewiring kernel is checked against."""
 
 import math
 
@@ -60,3 +61,18 @@ def predicted_strength_variance(weight_variance: float, n_l: int) -> float:
     if weight_variance < 0.0:
         raise ValueError("weight_variance must be >= 0")
     return float(weight_variance) * int(n_l)
+
+
+def weighted_draw_order(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Draw all indices sequentially, without replacement, weighted by `p`.
+
+    Implemented as an exponential race: index i gets an Exp(1)/p[i] arrival
+    time and the draw order is the arrival order. The minimum of
+    independent exponentials with rates p[i] lands on i with probability
+    p[i]/sum(p), and by memorylessness the remaining arrivals replay the
+    same race on the survivors, which is exactly sequential weighted sampling with
+    renormalization after each draw, in O(n log n). The rewiring passes draw
+    the same keys in blocks of rows; this per-column form is their reference.
+    """
+    keys = gen.standard_exponential(p.shape[0]) / p
+    return np.argsort(keys)

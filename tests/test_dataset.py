@@ -148,6 +148,12 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ds, 50, derive_stream(1, 0, 0))
 
+    @pytest.mark.parametrize("test_size", [2.9, True, "2"])
+    def test_non_integer_size_rejected(self, test_size):
+        # 2.9 used to make a 2-row validation set
+        with pytest.raises(ValueError, match="integer"):
+            split(self._dataset(50), test_size, derive_stream(1, 0, 0))
+
     def test_deterministic(self):
         ds = self._dataset(200)
         t1, v1 = split(ds, 40, derive_stream(9, 0, 0))

@@ -15,14 +15,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import weighted_draw_order
 from strength_init.initializers import METHODS, InitSpec, init
-from strength_init.rewiring import (
-    RewireConfig,
-    attachment_scores,
-    pa_rewire,
-    pa_rewire_conv,
-    weighted_draw_order,
-)
+from strength_init.rewiring import RewireConfig, attachment_scores, pa_rewire, pa_rewire_conv
 from strength_init.rng import derive_stream
 
 SEED = 20220717
@@ -94,8 +89,8 @@ def test_pa_rewire_conv_digest(passes):
 
 
 def reference_pass(m, gen):
-    """Input-side pass written column by column from the module's own
-    score and draw-order functions: the definition the input-only pa_rewire must match."""
+    """Input-side pass written column by column from the module's scores
+    and the per-column draw: the definition the input-only pa_rewire must match."""
     out = np.array(m, dtype=np.float64)
     n_in, n_out = out.shape
     if n_in == 1 or n_out == 1:

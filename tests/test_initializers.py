@@ -88,6 +88,23 @@ def test_spec_validation():
         InitSpec("kaiming-uniform", 0, 4)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, gain",
+    [(True, 4, 1.0), (8, 4.0, 1.0), (8, np.float64(4), 1.0), (8, "4", 1.0),
+     (8, 4, False), (8, 4, float("nan")), (8, 4, float("inf")), (8, 4, "2")],
+)
+def test_spec_refuses_non_integer_shape_and_bad_gain(rows, cols, gain):
+    # gain=False gave an all-zero matrix, gain=nan an all-NaN one
+    with pytest.raises(ValueError):
+        InitSpec("orthogonal", rows, cols, gain=gain)
+
+
+def test_spec_accepts_numpy_numbers():
+    a = init(InitSpec("orthogonal", np.int64(8), np.int32(4), gain=np.float64(2.0)), derive_stream(1, 0, 0))
+    b = init(InitSpec("orthogonal", 8, 4, gain=2.0), derive_stream(1, 0, 0))
+    npt.assert_array_equal(a, b)
+
+
 def test_nominal_variance_matches_samples():
     # uniform variance law b**2/3 at the documented bounds
     assert abs(nominal_weight_variance("kaiming-uniform", 256, 256) - 2.0 / 256) < 1e-15

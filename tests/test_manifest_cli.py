@@ -10,6 +10,7 @@ from helpers import make_synthetic_mnist
 from strength_init.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from strength_init.dataset import load_named_dataset, load_named_pixels, scale_pixels, split
 from strength_init.manifest import (
+    _SCHEDULE,
     ExperimentManifest,
     _prepare_data,
     plot_export,
@@ -19,6 +20,7 @@ from strength_init.manifest import (
 )
 from strength_init.matrix_io import load_matrix
 from strength_init.rng import SPLIT_DOMAIN, harness_generator
+from strength_init.training import MlpArch, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +172,21 @@ class TestManifest:
         assert m.repetitions == 3
         again = ExperimentManifest.from_json(m.to_json())
         assert again == m
+
+    def test_schedule_defaults_are_train_config_defaults(self, tmp_path):
+        a = (16, 8, 10)
+        m = ExperimentManifest(dataset="mnist", arch=a, out_dir=str(tmp_path))
+        assert m.train_config("none", 0) == TrainConfig(MlpArch(a))
+
+    def test_every_schedule_field_reaches_train_config(self, tmp_path):
+        changed = {"init_method": "orthogonal", "init_gain": 2.0, "global_seed": 7, "epochs": 3,
+                   "batch_size": 16, "lr0": 0.5, "momentum": 0.5}
+        assert set(changed) == set(_SCHEDULE)
+        m = ExperimentManifest(dataset="mnist", arch=(16, 8, 10), out_dir=str(tmp_path), **changed)
+        cfg = m.train_config("pa", 4)
+        for name, value in changed.items():
+            assert getattr(cfg, name) == value != getattr(TrainConfig, name), name
+        assert (cfg.rewire, cfg.repetition_index) == ("pa", 4)
 
     def test_prepare_data_scales_after_split(self, tmp_path):
         n_train, n_test, side = 6000, 1000, 16

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import weighted_draw_order
 from strength_init.initializers import InitSpec, init
 from strength_init.matrix_io import NonFiniteError, conv_to_2d
 from strength_init.rewiring import (
@@ -15,7 +16,6 @@ from strength_init.rewiring import (
     pa_rewire_conv,
     rewire_cost_probe,
     variance_search,
-    weighted_draw_order,
 )
 from strength_init.rng import derive_stream
 from strength_init.strength import strengths
@@ -322,6 +322,12 @@ class TestCostProbe:
             rewire_cost_probe([128, 64])
         with pytest.raises(ValueError, match="reps"):
             rewire_cost_probe([64], reps=0)
+
+    @pytest.mark.parametrize("sizes", [[64.9, 128], [True, 128], [], ["64"]])
+    def test_sizes_must_be_integers(self, sizes):
+        # [64.9, 128] used to time n=64
+        with pytest.raises(ValueError, match="sizes"):
+            rewire_cost_probe(sizes)
 
     def test_slope_of_exact_quadratic(self):
         table = [(n, 1e-9 * n * n) for n in (64, 128, 256, 512)]

@@ -116,3 +116,8 @@ class TestMaxStrengthSweep:
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError):
             max_strength_scaling("kaiming-uniform", [], 3, derive_stream(0, 0, 0))
+
+    @pytest.mark.parametrize("sizes", [[32.5], [True, 64]])
+    def test_non_integer_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="integers"):
+            max_strength_scaling("kaiming-uniform", sizes, 3, derive_stream(0, 0, 0))

@@ -14,7 +14,6 @@ from strength_init.training import (
     build_layer_weights,
     cosine_lr,
     evaluate,
-    gradient_flow,
     parse_rewire_mode,
     train,
     _backward,
@@ -177,6 +176,9 @@ class TestTrain:
         assert len(metrics.train_acc) == 4
         assert len(metrics.val_acc) == 4
         assert len(metrics.lr) == 4
+        # one mean |grad| per epoch and weight layer
+        assert [len(g) for g in metrics.grad_abs_mean] == [2] * 4
+        assert all(v > 0.0 for g in metrics.grad_abs_mean for v in g)
         assert all(0.0 <= a <= 100.0 for a in metrics.train_acc)
         assert 1 <= metrics.convergence_epoch <= 4
         assert 0.0 <= metrics.test_acc <= 100.0
@@ -214,13 +216,6 @@ class TestTrain:
             train(toy_config(epochs=3), huge, val_ds, test_ds)
         assert exc.value.epoch >= 1
         assert not math.isfinite(exc.value.loss)
-
-    def test_gradient_flow_table(self, toy_splits):
-        metrics = train(toy_config(), *toy_splits)
-        rows = gradient_flow(metrics)
-        assert len(rows) == 4 * 2  # epochs x weight layers
-        assert rows[0][0] == 1
-        assert all(v > 0.0 for _, _, v in rows)
 
     def test_empty_validation_rejected(self, toy_splits):
         train_ds, _, test_ds = toy_splits
@@ -282,10 +277,20 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("epochs", True), ("batch_size", True), ("lr0", True), ("init_gain", False), ("momentum", False)],
+        [("epochs", True), ("batch_size", True), ("lr0", True), ("init_gain", False), ("momentum", False),
+         ("global_seed", True), ("repetition_index", True)],
     )
     def test_bool_is_not_a_number(self, field, value):
         with pytest.raises(ValueError):
+            toy_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("global_seed", 1.5), ("global_seed", "1"), ("repetition_index", 1.0), ("repetition_index", -1)],
+    )
+    def test_seed_and_repetition_are_not_truncated(self, field, value):
+        # 1.5 used to build seed 1's weights
+        with pytest.raises(ValueError, match=field):
             toy_config(**{field: value})
 
     def test_bool_is_not_a_layer_size(self):
