@@ -33,11 +33,10 @@ Exp(1)/P(i) arrival time and the draw order is the arrival order. Its
 per-column form, weighted_draw_order in tests/helpers.py, is the
 reference the blocked passes below are tested against.
 
-Memory: besides the caller's input, pa_rewire holds one working copy of
-the matrix plus the output, never more. The input-side pass runs in place
-on a transposed copy, which is freed once it has been copied back into
+Memory: a rewire holds its output plus a few blocks of scratch, about
+2**16 values each, and never a working copy of the layer. The input-side
+pass reads the caller's matrix one slab of columns at a time and writes
 the output; the bidirectional second pass runs in place on the output.
-Scratch space beyond that is two blocks of about 2**16 values.
 """
 
 from __future__ import annotations
@@ -69,8 +68,9 @@ __all__ = [
 
 PASS_MODES = ("input-only", "bidirectional")
 
-# Values per block of rows in a pass: bounds the pass's scratch memory to
-# two blocks (sorted rows and keys) while amortizing per-call overhead.
+# Values per block of a pass: bounds the pass's scratch memory to a few
+# blocks (the slab, its sorted rows and keys) while amortizing per-call
+# overhead.
 _BLOCK = 1 << 16
 
 
@@ -113,34 +113,49 @@ def _restore_negative_zeros(rows: np.ndarray, sorted_rows: np.ndarray) -> None:
         sorted_rows[i, first : first + n_neg[i]] = -0.0
 
 
-def _pass_rows(a: np.ndarray, gen: np.random.Generator) -> None:
-    """One rewiring pass over rows 1.. of a C-contiguous array, in place.
+def _rewire_block(rows: np.ndarray, s: np.ndarray, gen: np.random.Generator) -> None:
+    """Rewire the rows of one C-contiguous block in turn, in place.
 
-    Row t of `a` is column t of the layer being rewired, so every step
-    reads and writes one contiguous row. Rows are processed in blocks of
-    about _BLOCK values. A block's rows are sorted when the block starts:
-    a row is untouched until its own turn, so this equals sorting every
-    row up front. Its exponential keys come from one draw, which yields
-    the same stream as one draw of len(row) values per row, so each row
-    is placed in the order weighted_draw_order (tests/helpers.py) gives.
+    Row i of `rows` is the next column of the layer and `s` the running
+    strength, updated after each row. The rows are sorted when the block
+    starts: a row is untouched until its own turn, so this equals sorting
+    every row up front. Their exponential keys come from one draw, which
+    yields the same stream as one draw of len(row) values per row, so each
+    row is placed in the order weighted_draw_order (tests/helpers.py) gives.
     """
-    n_rows, n = a.shape
-    if n_rows == 1 or n == 1:
+    sorted_rows = np.sort(rows, axis=1)
+    if not sorted_rows.all():
+        _restore_negative_zeros(rows, sorted_rows)
+    keys = gen.standard_exponential(rows.size).reshape(rows.shape)
+    for k, row, sorted_row in zip(keys, rows, sorted_rows):
+        np.divide(k, attachment_scores(s), out=k)
+        row[k.argsort()] = sorted_row
+        s += row
+
+
+def _pass(src: np.ndarray, dst: np.ndarray, gen: np.random.Generator) -> None:
+    """One rewiring pass over rows 1.. of `src`, written into `dst`.
+
+    Row t of `src` is column t of the layer being rewired; row 0 is copied
+    unchanged. Rows are rewired in blocks of about _BLOCK values. The
+    output-side pass runs in place (`dst` is `src`, the C-contiguous
+    output). In the input-side pass `src` and `dst` are the transposes of
+    the caller's matrix and of the output, so a block is a slab of
+    columns: it is copied out as contiguous row pieces, transposed in
+    cache and, once rewired, written into the same columns of the output.
+    """
+    n_rows, n = src.shape
+    dst[0] = src[0]
+    if n == 1:  # a one-weight column has nothing to permute
+        dst[1:] = src[1:]
         return
-    s = a[0].copy()
+    s = src[0].copy()
     block = max(1, _BLOCK // n)
     for start in range(1, n_rows, block):
         stop = min(start + block, n_rows)
-        sorted_rows = np.sort(a[start:stop], axis=1)
-        if not sorted_rows.all():
-            _restore_negative_zeros(a[start:stop], sorted_rows)
-        keys = gen.standard_exponential((stop - start) * n).reshape(stop - start, n)
-        for i in range(stop - start):
-            k = keys[i]
-            np.divide(k, attachment_scores(s), out=k)
-            row = a[start + i]
-            row[np.argsort(k)] = sorted_rows[i]
-            s += row
+        rows = dst[start:stop] if src is dst else src[start:stop].T.copy().T.copy()
+        _rewire_block(rows, s, gen)
+        dst[start:stop] = rows
 
 
 def _check_score_bound(w: np.ndarray, passes: str) -> None:
@@ -171,22 +186,21 @@ def _check_score_bound(w: np.ndarray, passes: str) -> None:
 def pa_rewire(m, cfg: RewireConfig) -> np.ndarray:
     """Rewire a layer: one input-side pass, or both sides in sequence.
 
-    The bidirectional mode runs the input-side pass, repeats it on the
-    transpose of the result, and transposes back, so both strength
-    distributions collapse. The multiset of weight values is preserved
-    exactly in every mode. Raises ValueError when the weights are so large
-    that the exponential keys of the draw would overflow.
+    The bidirectional mode follows the input-side pass with the same pass
+    over the rows of the result, which is the input-side pass of its
+    transpose, so both strength distributions collapse. The multiset of
+    weight values is preserved exactly in every mode. Raises ValueError
+    when the weights are so large that the exponential keys of the draw
+    would overflow.
     """
     w = validate_matrix(m)
     _check_score_bound(w, cfg.passes)
+    out = np.empty_like(w)
     # the input-side pass walks the columns of w, i.e. the rows of w.T
-    work = w.T.copy()
-    _pass_rows(work, cfg.rng)
-    out = work.T.copy()
-    del work  # free it before the second pass: one working copy at a time
+    _pass(w.T, out.T, cfg.rng)
     if cfg.passes == "bidirectional":
         # the output-side pass walks the rows of the result itself
-        _pass_rows(out, cfg.rng)
+        _pass(out, out, cfg.rng)
     return out
 
 

@@ -14,12 +14,15 @@ across other implementations.
 Spawn-key layout: weight streams use 2-element keys
 (layer_index, repetition_index); experiment-level streams (batch order,
 data split) use 1-element keys and therefore can never collide with a
-weight stream. SeedSequence rejects negative key elements.
+weight stream. Every argument must be an integer (numpy integers pass,
+1.5 and True raise ValueError); SeedSequence rejects negative key elements.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .initializers import _index
 
 __all__ = ["derive_stream"]
 
@@ -30,9 +33,13 @@ BATCH_ORDER_DOMAIN = 0
 SPLIT_DOMAIN = 1
 
 
-def _generator(global_seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(global_seed) & _MASK64, spawn_key=spawn_key)
-    return np.random.Generator(np.random.PCG64(seq))
+def _generator(global_seed: int, *spawn_key: int) -> np.random.Generator:
+    try:
+        entropy = _index(global_seed) & _MASK64
+        key = tuple(map(_index, spawn_key))
+    except TypeError:
+        raise ValueError(f"seed and stream indices must be integers, got {(global_seed, *spawn_key)}") from None
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key)))
 
 
 def derive_stream(global_seed: int, layer_index: int, repetition_index: int) -> np.random.Generator:
@@ -42,7 +49,7 @@ def derive_stream(global_seed: int, layer_index: int, repetition_index: int) -> 
     (layer_index, repetition_index) pairs give statistically independent
     streams.
     """
-    return _generator(global_seed, (int(layer_index), int(repetition_index)))
+    return _generator(global_seed, layer_index, repetition_index)
 
 
 def harness_generator(global_seed: int, domain: int) -> np.random.Generator:
@@ -51,4 +58,4 @@ def harness_generator(global_seed: int, domain: int) -> np.random.Generator:
     Uses a 1-element spawn key so it is independent of every per-layer
     stream regardless of layer and repetition indices.
     """
-    return _generator(global_seed, (int(domain),))
+    return _generator(global_seed, domain)

@@ -16,6 +16,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import weighted_draw_order
+from strength_init import rewiring
 from strength_init.initializers import METHODS, InitSpec, init
 from strength_init.rewiring import RewireConfig, attachment_scores, pa_rewire, pa_rewire_conv
 from strength_init.rng import derive_stream
@@ -59,6 +60,11 @@ REWIRE_DIGESTS = {
     (256, 256, "bidirectional"): "2602b55e2907232c60d91f1e80e8ec6bd60dbd9d044e01d8b0ae877f6befdbf8",
     (1024, 1024, "input-only"): "61fabfe1e54b36508ba11a899a6cfa9b66d4d736c4d95a0a94710d4fb8d750b0",
     (1024, 1024, "bidirectional"): "97dbc068ca85ab7bdb5c2c230000c8d43bced42e1cd562bb11e6d0d2fd3a71d8",
+    # rectangular layers whose passes each span several blocks and end in a partial one
+    (300, 2048, "input-only"): "f894a48738f80ad10520f50bbc767a20a32713bb41976a7b87dead8e6679eba0",
+    (300, 2048, "bidirectional"): "5f79102a463ceb76b47ee75c25aecd6cb687713d44cbc54292046c175c8a3bd6",
+    (2048, 300, "input-only"): "afe33a9c5bf2c0ce131ae9d75eeea41fb3e46f34d6a4970a709c5221f7954fa7",
+    (2048, 300, "bidirectional"): "63003dfecbcc19c7ecaefe9a1c56830805491a935dbb98dc45ff1e9e3a3e714f",
 }
 
 
@@ -104,10 +110,17 @@ def reference_pass(m, gen):
 
 
 SMALL_SHAPES = [(1, 1), (1, 4), (4, 1), (2, 2), (3, 7), (7, 3), (16, 16), (40, 9)]
+# Each shape at the module's block size, then at blocks of 16 values, where
+# the shapes from 3x7 up span several blocks of one pass or both.
+REFERENCE_CASES = [pytest.param(r, c, None, id=f"{r}-{c}") for r, c in SMALL_SHAPES] + [
+    pytest.param(r, c, 16, id=f"{r}-{c}-block16") for r, c in SMALL_SHAPES
+]
 
 
-@pytest.mark.parametrize("rows, cols", SMALL_SHAPES)
-def test_pa_pass_matches_reference(rows, cols):
+@pytest.mark.parametrize("rows, cols, block", REFERENCE_CASES)
+def test_pa_pass_matches_reference(rows, cols, block, monkeypatch):
+    if block:
+        monkeypatch.setattr(rewiring, "_BLOCK", block)
     m = np.random.default_rng(rows * 100 + cols).normal(size=(rows, cols))
     fast = derive_stream(SEED, rows, cols)
     ref = derive_stream(SEED, rows, cols)
@@ -117,8 +130,10 @@ def test_pa_pass_matches_reference(rows, cols):
     assert fast.random() == ref.random()
 
 
-@pytest.mark.parametrize("rows, cols", SMALL_SHAPES)
-def test_bidirectional_matches_reference(rows, cols):
+@pytest.mark.parametrize("rows, cols, block", REFERENCE_CASES)
+def test_bidirectional_matches_reference(rows, cols, block, monkeypatch):
+    if block:
+        monkeypatch.setattr(rewiring, "_BLOCK", block)
     m = np.random.default_rng(rows * 100 + cols).normal(size=(rows, cols))
     fast = derive_stream(SEED, rows, cols)
     ref = derive_stream(SEED, rows, cols)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -224,6 +225,19 @@ class TestPaRewire:
         with np.errstate(all="raise"):
             out = pa_rewire(m * 1e-8, RewireConfig(rng=derive_stream(0, 0, 0), passes=passes))
         npt.assert_array_equal(np.sort(out, axis=None), np.sort(m * 1e-8, axis=None))
+
+    @pytest.mark.parametrize("passes", PASS_MODES)
+    def test_memory_is_output_plus_a_few_blocks(self, passes):
+        # no working copy of the layer: the input-side pass streams column slabs
+        w = init(InitSpec("kaiming-uniform", 1536, 1024), derive_stream(11, 0, 0))
+        cfg = RewireConfig(rng=derive_stream(11, 0, 1), passes=passes)
+        tracemalloc.start()
+        try:
+            pa_rewire(w, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= w.nbytes + 4 * 2**20
 
     def test_invalid_passes(self, stream):
         with pytest.raises(ValueError):

@@ -48,6 +48,30 @@ def test_negative_indices_rejected():
         derive_stream(0, 0, -1)
 
 
+@pytest.mark.parametrize(
+    "args", [(1.5, 0, 0), (1, 0.9, 0), (1, 0, 1.0), (True, 0, 0), (1, False, 0), (1, 0, True)]
+)
+def test_derive_stream_refuses_non_integers(args):
+    # derive_stream(1.5, 0.9, True) used to draw what derive_stream(1, 0, 1) draws
+    with pytest.raises(ValueError, match="integers"):
+        derive_stream(*args)
+
+
+@pytest.mark.parametrize("args", [(2.7, 1), (2, 1.2), (True, 1), (2, True)])
+def test_harness_generator_refuses_non_integers(args):
+    # harness_generator(2.7, 1.2) used to equal harness_generator(2, 1)
+    with pytest.raises(ValueError, match="integers"):
+        harness_generator(*args)
+
+
+def test_numpy_integers_accepted():
+    a = derive_stream(np.int64(-1), np.int32(2), np.uint8(3)).uniform(size=10)
+    b = derive_stream(-1, 2, 3).uniform(size=10)
+    npt.assert_array_equal(a, b)
+    c = harness_generator(np.uint64(9), np.int16(SPLIT_DOMAIN)).uniform(size=10)
+    npt.assert_array_equal(c, harness_generator(9, SPLIT_DOMAIN).uniform(size=10))
+
+
 def test_hundred_repetitions_pairwise_distinct():
     # collision check across repetition streams of one layer
     spec = InitSpec("kaiming-normal", 256, 256)
