@@ -108,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="statistical comparison of two run directories")
     p.add_argument("--baseline", required=True)
     p.add_argument("--treatment", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--format", choices=("md", "json", "csv"), default="md")
+    p.add_argument("--format", choices=("md", "json"), default="md")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("cost", help="wall-time scaling probe of the rewiring pass")
@@ -165,13 +164,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     base = [doc["summary"] for doc in read_run_dir(args.baseline)]
     treat = [doc["summary"] for doc in read_run_dir(args.treatment)]
-    report = compare(base, treat, alpha=args.alpha)
-    if args.format == "md":
-        _emit(report.to_markdown(), args.out)
-    elif args.format == "json":
-        _emit(report.to_json(), args.out)
-    else:
-        _emit(report.to_csv(), args.out)
+    report = compare(base, treat)
+    _emit(report.to_markdown() if args.format == "md" else report.to_json(), args.out)
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .initializers import _index
+from .initializers import _int
 
 __all__ = [
     "IMAGE_MAGIC",
@@ -182,10 +182,7 @@ def split(dataset: Dataset, test_size: int, rng: np.random.Generator) -> tuple[D
     Generator `rng`; both sides keep ascending original order so the
     training shuffle alone controls presentation order.
     """
-    try:
-        test_size = _index(test_size)  # 2.9 would truncate to 2
-    except TypeError:
-        raise ValueError(f"test_size must be an integer, got {test_size!r}") from None
+    test_size = _int(test_size, "test_size")  # 2.9 would truncate to 2
     if test_size < 0:
         raise ValueError("test_size must be >= 0")
     if test_size >= dataset.n:

@@ -36,11 +36,15 @@ METHODS = (
 
 # The package's rules for integer and real arguments. This module imports
 # nothing from the package, so every other module can use them.
-def _index(value) -> int:
-    """operator.index, refusing bool: True would pass as 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+def _int(value, what: str) -> int:
+    """`value` as a plain int. numpy integers pass; 2.5, "2" and True
+    (which operator.index would take as 1) raise ValueError naming `what`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what}: integers only, got {value!r}")
 
 
 def _real(value) -> bool:
@@ -59,10 +63,7 @@ class InitSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown init method {self.method!r}, expected one of {METHODS}")
-        try:
-            _index(self.rows), _index(self.cols)  # numpy integers pass, 8.0 and True do not
-        except TypeError:
-            raise ValueError(f"rows and cols must be integers, got ({self.rows!r}, {self.cols!r})") from None
+        _int(self.rows, "rows"), _int(self.cols, "cols")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"rows and cols must be >= 1, got ({self.rows}, {self.cols})")
         if not (_real(self.gain) and math.isfinite(self.gain)):

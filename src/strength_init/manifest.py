@@ -6,10 +6,8 @@ repetition, writes one JSON-lines metric file per repetition (one record
 per epoch plus a final summary record), a merged summary per arm, CSV
 curve bundles for plotting, and, when both a baseline and a treatment
 arm are declared, a statistical comparison report. Re-running the same
-manifest into a new out_dir reproduces every output byte for byte on the
-same platform, with the same numpy/BLAS build and the same BLAS thread
-count: OPENBLAS_NUM_THREADS=1 and =2 give different training digests
-(see training).
+manifest into a new out_dir reproduces every output byte for byte, under
+the conditions the training module's docstring gives.
 
 Each arm trains as one lock-step population (training.train_population);
 its only parallelism is the BLAS threads inside the population's matmuls.
@@ -27,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import DATASET_NAMES, load_named_pixels, split
-from .initializers import _index
+from .initializers import _int
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import COMPARE_METRICS, compare, sample_std
 from .training import MlpArch, TrainConfig, train_population
@@ -38,7 +36,7 @@ DATA_ENV_VAR = "STRENGTH_INIT_DATA"
 
 # The manifest fields every repetition's TrainConfig takes as they are;
 # TrainConfig keeps their defaults.
-_SCHEDULE = ("init_method", "init_gain", "global_seed", "epochs", "batch_size", "lr0", "momentum")
+_SCHEDULE = ("init_method", "global_seed", "epochs", "batch_size", "lr0")
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,6 @@ class ExperimentManifest:
     arch: tuple[int, ...]
     out_dir: str
     init_method: str = TrainConfig.init_method
-    init_gain: float = TrainConfig.init_gain
     baseline_rewire: str = "none"
     treatment_rewire: str | None = None
     global_seed: int = TrainConfig.global_seed
@@ -57,21 +54,15 @@ class ExperimentManifest:
     epochs: int = TrainConfig.epochs
     batch_size: int = TrainConfig.batch_size
     lr0: float = TrainConfig.lr0
-    momentum: float = TrainConfig.momentum
     data_dir: str | None = None
-    alpha: float = 0.05
     jobs: int = 1  # must be 1; kept only because the benchmark passes jobs=1
 
     def __post_init__(self):
-        object.__setattr__(self, "arch", MlpArch(self.arch).layer_sizes)
         # stored as plain ints so to_json can write them; numpy integers
         # pass, 1.5 and true do not
+        object.__setattr__(self, "arch", tuple(_int(s, "manifest field arch") for s in self.arch))
         for name in ("repetitions", "epochs", "batch_size", "global_seed", "jobs"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, _index(value))
-            except TypeError:
-                raise ValueError(f"manifest field {name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _int(getattr(self, name), f"manifest field {name}"))
         if not isinstance(self.out_dir, str):
             raise ValueError(f"manifest field out_dir must be a string, got {self.out_dir!r}")
         if not isinstance(self.data_dir, (str, type(None))):
@@ -87,8 +78,6 @@ class ExperimentManifest:
             self.train_config(self.treatment_rewire, 0)
             if self.repetitions < 2:
                 raise ValueError("comparing a treatment arm needs repetitions >= 2")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.jobs != 1:
             raise ValueError(f"jobs must be 1 (an arm trains as one population), got {self.jobs}")
 
@@ -195,16 +184,17 @@ def run_manifest(manifest: ExperimentManifest) -> int:
         treat_summaries = _run_population(
             manifest, manifest.treatment_rewire, out_dir / "treatment", data
         )
-        report = compare(base_summaries, treat_summaries, alpha=manifest.alpha)
+        report = compare(base_summaries, treat_summaries)
         (out_dir / "comparison.md").write_text(report.to_markdown())
         (out_dir / "comparison.json").write_text(report.to_json())
     return 0
 
 
 def read_run_dir(runs_dir) -> list[dict]:
-    """Load every rep_*.jsonl in a directory into {records, summary} docs."""
+    """Load every rep_*.jsonl in a directory into {records, summary} docs,
+    in repetition order (rep_999 before rep_1000)."""
     runs_dir = Path(runs_dir)
-    files = sorted(runs_dir.glob("rep_*.jsonl"))
+    files = sorted(runs_dir.glob("rep_*.jsonl"), key=lambda p: (len(p.name), p.name))
     if not files:
         raise FileNotFoundError(f"no rep_*.jsonl metric files in {runs_dir}")
     docs = []

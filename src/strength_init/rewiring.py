@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initializers import InitSpec, _index, init
+from .initializers import InitSpec, _int, init
 from .matrix_io import validate_conv, validate_matrix
 from .rng import derive_stream
 from .strength import strengths
@@ -223,7 +223,7 @@ def variance_search(spec: InitSpec, k: int, mode: str, rng: np.random.Generator)
     candidate. This isolates the effect of strength variance without
     touching the weight distribution's shape.
     """
-    if k < 1:
+    if _int(k, "k") < 1:
         raise ValueError("k must be >= 1")
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
@@ -239,10 +239,7 @@ def variance_search(spec: InitSpec, k: int, mode: str, rng: np.random.Generator)
 
 def _sizes(sizes) -> list[int]:
     """The layer sizes of a probe or sweep; 64.9 and True are refused, not truncated."""
-    try:
-        sizes = [_index(n) for n in sizes]
-    except TypeError:
-        raise ValueError(f"sizes must be integers, got {sizes!r}") from None
+    sizes = [_int(n, "sizes") for n in sizes]
     if not sizes:
         raise ValueError("sizes must be nonempty")
     return sizes
@@ -259,7 +256,7 @@ def rewire_cost_probe(sizes, reps: int = 3, seed: int = 0):
     sizes = _sizes(sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
-    if reps < 1:
+    if _int(reps, "reps") < 1:
         raise ValueError("reps must be >= 1")
     warm = derive_stream(seed, 0, 0)
     pa_rewire(init(InitSpec("kaiming-uniform", 64, 64), warm), RewireConfig(rng=warm))
@@ -300,7 +297,7 @@ def max_strength_scaling(
     every size.
     """
     sizes = _sizes(sizes)
-    if trials < 1:
+    if _int(trials, "trials") < 1:
         raise ValueError("trials must be >= 1")
     rows = []
     for n in sizes:

@@ -7,9 +7,8 @@ any layer of any repetition can be regenerated in isolation, and two
 runs with the same global seed are bit-identical.
 
 PCG64 is the generator for the whole repository. Bit-equality is
-promised within this codebase on the same platform, with the same
-numpy/BLAS build and the same BLAS thread count (see training), not
-across other implementations.
+promised within this codebase, under the conditions the training
+module's docstring gives, not across other implementations.
 
 Spawn-key layout: weight streams use 2-element keys
 (layer_index, repetition_index); experiment-level streams (batch order,
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .initializers import _index
+from .initializers import _int
 
 __all__ = ["derive_stream"]
 
@@ -34,12 +33,9 @@ SPLIT_DOMAIN = 1
 
 
 def _generator(global_seed: int, *spawn_key: int) -> np.random.Generator:
-    try:
-        entropy = _index(global_seed) & _MASK64
-        key = tuple(map(_index, spawn_key))
-    except TypeError:
-        raise ValueError(f"seed and stream indices must be integers, got {(global_seed, *spawn_key)}") from None
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key)))
+    entropy, *key = (_int(v, "seed and stream indices") for v in (global_seed, *spawn_key))
+    seq = np.random.SeedSequence(entropy & _MASK64, spawn_key=tuple(key))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def derive_stream(global_seed: int, layer_index: int, repetition_index: int) -> np.random.Generator:

@@ -6,7 +6,8 @@ t-test decides whether the means differ, a two-group Kruskal-Wallis
 H-test decides whether the medians differ, and each significant
 difference is labelled improved or worsened with the metric's polarity
 taken into account (higher accuracy is better, a lower convergence epoch
-is better). Differences with p >= alpha are labelled indistinct.
+is better). Every verdict uses one significance level, ALPHA = 0.05:
+differences with p >= ALPHA are labelled indistinct.
 
 The test statistics are computed here from their defining formulas;
 only the reference distributions (Student t, chi-square) come from
@@ -33,7 +34,10 @@ __all__ = [
     "ComparisonReport",
     "compare",
     "COMPARE_METRICS",
+    "ALPHA",
 ]
+
+ALPHA = 0.05
 
 # (summary-record key, table label, higher is better)
 COMPARE_METRICS = (
@@ -189,7 +193,6 @@ class MetricComparison:
 class ComparisonReport:
     """Per-metric verdicts for a baseline vs treatment population pair."""
 
-    alpha: float
     n_baseline: int
     n_treatment: int
     metrics: list[MetricComparison] = field(default_factory=list)
@@ -202,20 +205,12 @@ class ComparisonReport:
 
     def to_json(self) -> str:
         doc = {
-            "alpha": self.alpha,
+            "alpha": ALPHA,
             "n_baseline": self.n_baseline,
             "n_treatment": self.n_treatment,
             "metrics": [asdict(m) for m in self.metrics],
         }
         return json.dumps(doc, indent=2) + "\n"
-
-    def to_csv(self) -> str:
-        cols = list(asdict(self.metrics[0]).keys()) if self.metrics else []
-        lines = [",".join(cols)]
-        for m in self.metrics:
-            d = asdict(m)
-            lines.append(",".join(_csv_cell(d[c]) for c in cols))
-        return "\n".join(lines) + "\n"
 
     def to_markdown(self) -> str:
         """Two-row table mirroring the comparison tables: baseline values,
@@ -249,16 +244,8 @@ def _marker(verdict: str) -> str:
     return {"improved": "(+)", "worsened": "(−)", "indistinct": "(=)"}[verdict]
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def _verdict(p: float, diff: float, higher_is_better: bool, alpha: float) -> str:
-    if p >= alpha or diff == 0.0:
+def _verdict(p: float, diff: float, higher_is_better: bool) -> str:
+    if p >= ALPHA or diff == 0.0:
         return "indistinct"
     better = diff > 0.0 if higher_is_better else diff < 0.0
     return "improved" if better else "worsened"
@@ -268,18 +255,16 @@ def _extract(runs, key: str) -> np.ndarray:
     return np.asarray([run[key] for run in runs], dtype=np.float64)
 
 
-def compare(baseline, treatment, alpha: float = 0.05) -> ComparisonReport:
+def compare(baseline, treatment) -> ComparisonReport:
     """Compare two run populations metric by metric.
 
     `baseline` and `treatment` are sequences of run summary dicts (as
     written by RunMetrics.summary) with at least two runs each; each dict
     holds epoch1_train_acc, epoch1_val_acc, convergence_epoch and
-    test_acc. `alpha` must lie in (0, 1). Population sizes may differ
-    (the tests are unpaired), but a size mismatch is worth a warning
-    since paired seeds are the usual setup.
+    test_acc. Population sizes may differ (the tests are unpaired), but a
+    size mismatch is worth a warning since paired seeds are the usual
+    setup.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     baseline = list(baseline)
     treatment = list(treatment)
     if len(baseline) != len(treatment):
@@ -288,7 +273,7 @@ def compare(baseline, treatment, alpha: float = 0.05) -> ComparisonReport:
             "running unpaired tests",
             stacklevel=2,
         )
-    report = ComparisonReport(alpha=alpha, n_baseline=len(baseline), n_treatment=len(treatment))
+    report = ComparisonReport(n_baseline=len(baseline), n_treatment=len(treatment))
     for key, label, higher in COMPARE_METRICS:
         b = _extract(baseline, key)
         t = _extract(treatment, key)
@@ -312,8 +297,8 @@ def compare(baseline, treatment, alpha: float = 0.05) -> ComparisonReport:
                 t_p=t_p,
                 h_stat=h_stat,
                 h_p=h_p,
-                mean_verdict=_verdict(t_p, float(t.mean() - b.mean()), higher, alpha),
-                median_verdict=_verdict(h_p, t_median - b_median, higher, alpha),
+                mean_verdict=_verdict(t_p, float(t.mean() - b.mean()), higher),
+                median_verdict=_verdict(h_p, t_median - b_median, higher),
             )
         )
     return report

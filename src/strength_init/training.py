@@ -1,11 +1,12 @@
 """From-scratch fully connected training under a fixed simple schedule.
 
 The network is an MLP with ReLU hidden layers and a softmax
-cross-entropy output, trained by mini-batch SGD with momentum and a
-cosine learning-rate schedule annealed to zero (no restarts), updated
-once per epoch. Weights come from the repository's initializers (plus
-optional rewiring); biases start at zero and are excluded from strength
-computation and rewiring throughout.
+cross-entropy output, trained by mini-batch SGD with momentum _MOMENTUM
+(0.9) and a cosine learning-rate schedule annealed to zero (no
+restarts), updated once per epoch. Weights come from the repository's
+initializers at their nominal scale (plus optional rewiring); biases
+start at zero and are excluded from strength computation and rewiring
+throughout.
 
 Randomness is strictly partitioned: weights draw from the per-layer
 per-repetition streams, while the batch shuffle draws from a stream
@@ -36,8 +37,9 @@ time, with the same bits as scaling them all up front. Evaluations run
 chunks outer, members inner: each chunk is scaled once into a reused
 buffer and every repetition runs its own forward pass on it.
 
-Bit-identity holds on the same platform, with the same numpy/BLAS build
-and the same BLAS thread count: on a 2-vCPU machine with OpenBLAS 0.3.31,
+Reproducibility: the package's outputs are bit-identical for a given
+seed on the same platform, with the same numpy/BLAS build and the same
+BLAS thread count. On a 2-vCPU machine with OpenBLAS 0.3.31,
 OPENBLAS_NUM_THREADS=1 and =2 give different training digests. Rewiring
 and every initializer but orthogonal (whose QR goes through LAPACK, and
 whose 784x256 draw also changes with the thread count) use no BLAS.
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, pixels_to_float
-from .initializers import METHODS, InitSpec, _index, _real, init
+from .initializers import METHODS, InitSpec, _int, _real, init
 from .rewiring import RewireConfig, pa_rewire, variance_search
 from .rng import BATCH_ORDER_DOMAIN, derive_stream, harness_generator
 
@@ -70,6 +72,7 @@ __all__ = [
 ]
 
 _EVAL_CHUNK = 8192
+_MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,7 @@ class MlpArch:
     layer_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            # numpy integers pass; "1684", 8.7 and True do not
-            sizes = tuple(_index(s) for s in self.layer_sizes)
-        except TypeError:
-            raise TypeError(f"layer sizes must be integers, got {self.layer_sizes!r}") from None
+        sizes = tuple(_int(s, "layer sizes") for s in self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
             raise ValueError("an MLP needs at least input and output sizes")
@@ -126,28 +125,18 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 128
     lr0: float = 0.01
-    momentum: float = 0.9
     global_seed: int = 0
     repetition_index: int = 0
     init_method: str = "kaiming-uniform"
-    init_gain: float = 1.0
     rewire: str = "none"
 
     def __post_init__(self):
         if self.init_method not in METHODS:
             raise ValueError(f"unknown init method {self.init_method!r}")
-        if not (_real(self.momentum) and 0.0 <= self.momentum < 1.0):
-            raise ValueError(f"momentum must be a number in [0, 1), got {self.momentum!r}")
         if not (_real(self.lr0) and 0.0 < self.lr0 < math.inf):
             raise ValueError(f"lr0 must be a finite number > 0, got {self.lr0!r}")
-        if not (_real(self.init_gain) and math.isfinite(self.init_gain)):
-            raise ValueError(f"init_gain must be a finite number, got {self.init_gain!r}")
         for name in ("epochs", "batch_size", "global_seed", "repetition_index"):
-            value = getattr(self, name)
-            try:
-                _index(value)  # numpy integers pass, 2.5 and True do not
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            _int(getattr(self, name), name)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.repetition_index < 0:
@@ -228,7 +217,7 @@ def build_layer_weights(cfg: TrainConfig) -> list[np.ndarray]:
     weights = []
     for l in range(cfg.arch.n_weight_layers):
         stream = derive_stream(cfg.global_seed, l, cfg.repetition_index)
-        spec = InitSpec(cfg.init_method, sizes[l], sizes[l + 1], gain=cfg.init_gain)
+        spec = InitSpec(cfg.init_method, sizes[l], sizes[l + 1])
         if kind.startswith("var-"):
             w = variance_search(spec, k, kind[4:], stream)
         else:
@@ -336,7 +325,7 @@ def evaluate(weights, biases, features, labels):
 
 # What every member of a population shares: the network, the schedule and
 # the batch order (a function of the global seed alone).
-_SHARED_FIELDS = ("arch", "epochs", "batch_size", "lr0", "momentum", "global_seed")
+_SHARED_FIELDS = ("arch", "epochs", "batch_size", "lr0", "global_seed")
 
 
 def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset) -> RunMetrics:
@@ -352,8 +341,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset
 def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset) -> list[RunMetrics]:
     """Train several repetitions in lock-step; one RunMetrics per config, in order.
 
-    The configs may differ only in repetition_index, init_method,
-    init_gain and rewire. Every member sees the same batches, so each
+    The configs may differ only in repetition_index, init_method and
+    rewire. Every member sees the same batches, so each
     batch is gathered once and every layer is one matmul over the stacked
     (R, n_in, n_out) weights. That matmul issues the same GEMM per member
     as training the member alone, and every other step is elementwise or
@@ -403,7 +392,6 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
 
     x_train, y_train = train_ds.features, train_ds.labels
     n = train_ds.n
-    momentum = head.momentum
 
     for epoch in range(head.epochs):
         lr = cosine_lr(epoch, head.epochs, head.lr0)
@@ -428,11 +416,11 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
                 for r in range(n_pop):
                     grad_sums[r, l] += float(np.abs(g[r]).mean())
             n_batches += 1
-            # v = momentum * v + g; w -= lr * v, with the gradient's
+            # v = _MOMENTUM * v + g; w -= lr * v, with the gradient's
             # buffer reused for lr * v
             for param, vel, grad in zip(weights + biases, vel_w + vel_b, grads_w + grads_b):
                 grad = grad.reshape(vel.shape)
-                np.multiply(vel, momentum, out=vel)
+                np.multiply(vel, _MOMENTUM, out=vel)
                 np.add(vel, grad, out=vel)
                 np.multiply(vel, lr, out=grad)
                 np.subtract(param, grad, out=param)

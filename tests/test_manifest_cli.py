@@ -93,6 +93,10 @@ class TestManifest:
             ("momentum", False),
             ("global_seed", True),
             ("jobs", True),
+            # momentum, the training init gain and alpha are constants now
+            ("momentum", 0.9),
+            ("init_gain", 1.0),
+            ("alpha", 0.05),
         ],
     )
     def test_bad_field_rejected_at_load(self, tmp_path, field, value):
@@ -179,8 +183,8 @@ class TestManifest:
         assert m.train_config("none", 0) == TrainConfig(MlpArch(a))
 
     def test_every_schedule_field_reaches_train_config(self, tmp_path):
-        changed = {"init_method": "orthogonal", "init_gain": 2.0, "global_seed": 7, "epochs": 3,
-                   "batch_size": 16, "lr0": 0.5, "momentum": 0.5}
+        changed = {"init_method": "orthogonal", "global_seed": 7, "epochs": 3, "batch_size": 16,
+                   "lr0": 0.5}
         assert set(changed) == set(_SCHEDULE)
         m = ExperimentManifest(dataset="mnist", arch=(16, 8, 10), out_dir=str(tmp_path), **changed)
         cfg = m.train_config("pa", 4)
@@ -238,6 +242,14 @@ class TestManifest:
     def test_plot_export_empty_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             plot_export(tmp_path)
+
+    def test_read_run_dir_in_repetition_order(self, tmp_path):
+        # sorted by name, rep_1000 came between rep_100 and rep_101
+        for r in range(1001):
+            summary = {"type": "summary", "repetition": r}
+            (tmp_path / f"rep_{r:03d}.jsonl").write_text(json.dumps(summary) + "\n")
+        docs = read_run_dir(tmp_path)
+        assert [doc["summary"]["repetition"] for doc in docs] == list(range(1001))
 
     def test_plot_export_single_run_zero_std(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -319,6 +331,9 @@ class TestCli:
         assert main(["sweep", "--layer", "1"]) == EXIT_USAGE
         assert main(["sweep", "--rep", "1"]) == EXIT_USAGE
         assert main(["cost", "--passes", "input-only"]) == EXIT_USAGE
+        # verdicts use the one significance level stats.ALPHA; reports are md or json
+        assert main(["compare", "--baseline", "b", "--treatment", "t", "--alpha", "0.05"]) == EXIT_USAGE
+        assert main(["compare", "--baseline", "b", "--treatment", "t", "--format", "csv"]) == EXIT_USAGE
 
     def test_seeded_subcommands_accept_stream_args(self):
         from strength_init.cli import build_parser
@@ -388,7 +403,7 @@ class TestCli:
         assert "manifest" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_compare_alpha_outside_unit_interval_is_data_error(self, tmp_path):
+    def test_compare_alpha_is_usage_error(self, tmp_path):
         dirs = []
         for arm, acc in (("base", 90.0), ("treat", 95.0)):
             d = tmp_path / arm
@@ -399,6 +414,7 @@ class TestCli:
                            "test_acc": acc + 0.5 * r}
                 (d / f"rep_{r:03d}.jsonl").write_text(json.dumps(summary) + "\n")
             dirs.append(str(d))
-        args = ["compare", "--baseline", dirs[0], "--treatment", dirs[1], "--out", str(tmp_path / "c.md")]
-        assert main(args) == EXIT_OK
-        assert main(args + ["--alpha", "5"]) == EXIT_DATA
+        args = ["compare", "--baseline", dirs[0], "--treatment", dirs[1], "--out"]
+        assert main(args + [str(tmp_path / "c.md")]) == EXIT_OK
+        assert main(args + [str(tmp_path / "alpha.md"), "--alpha", "0.05"]) == EXIT_USAGE
+        assert not (tmp_path / "alpha.md").exists()

@@ -127,8 +127,8 @@ def reference_train(cfg, train_ds, val_ds, test_ds):
                 grad_sums[l] += float(np.abs(g).mean())
             n_batches += 1
             for l in range(len(weights)):
-                vel_w[l] = cfg.momentum * vel_w[l] + grads_w[l]
-                vel_b[l] = cfg.momentum * vel_b[l] + grads_b[l]
+                vel_w[l] = 0.9 * vel_w[l] + grads_w[l]
+                vel_b[l] = 0.9 * vel_b[l] + grads_b[l]
                 weights[l] -= lr * vel_w[l]
                 biases[l] -= lr * vel_b[l]
 
@@ -214,11 +214,15 @@ def test_members_must_share_schedule(splits):
         train_population([], *splits)
 
 
-def test_population_divergence_names_lowest_repetition(splits):
-    # orthogonal weights at gain 1e150 make the first batch's logits
-    # overflow float64 for repetitions 1 and 2; repetition 0 trains normally
+def test_population_divergence_names_lowest_repetition(monkeypatch, splits):
+    # weights scaled by 1e150 make the first batch's logits overflow
+    # float64 for repetitions 1 and 2; repetition 0 trains normally
+    def build(cfg):
+        scale = 1e150 if cfg.repetition_index > 0 else 1.0
+        return [scale * w for w in build_layer_weights(cfg)]
+
+    monkeypatch.setattr(training, "build_layer_weights", build)
     cfgs = _configs(3, 3, "none")
-    cfgs[1:] = [replace(c, init_method="orthogonal", init_gain=1e150) for c in cfgs[1:]]
     with pytest.raises(TrainingDivergedError) as exc:
         train_population(cfgs, *splits)
     assert (exc.value.epoch, exc.value.batch, exc.value.repetition) == (1, 1, 1)

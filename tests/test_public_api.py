@@ -4,9 +4,11 @@ import from ``strength_init``; every other name comes from its module.
 The demos and the README's python blocks are parsed, not run; so are the
 README's ``strength-init`` command lines, against the CLI's own parser, and
 its JSON blocks, as experiment manifests. Every manifest field is named in
-the README.
+the README. The configuration surface (every config field and CLI option)
+is pinned in one list.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -19,6 +21,7 @@ import pytest
 import strength_init
 from strength_init.cli import build_parser
 from strength_init.manifest import ExperimentManifest
+from strength_init.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]
@@ -95,3 +98,33 @@ def test_readme_names_every_manifest_field():
     named = set(re.findall(r"`([a-z_0-9]+)`", (ROOT / "README.md").read_text()))
     fields = {f.name for f in dataclasses.fields(ExperimentManifest)}
     assert fields <= named, sorted(fields - named)
+
+
+def test_configuration_surface():
+    # every settable value in one list: adding or dropping an option edits it
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+        "arch", "epochs", "batch_size", "lr0", "global_seed", "repetition_index", "init_method",
+        "rewire",
+    ]
+    assert [f.name for f in dataclasses.fields(ExperimentManifest)] == [
+        "dataset", "arch", "out_dir", "init_method", "baseline_rewire", "treatment_rewire",
+        "global_seed", "repetitions", "epochs", "batch_size", "lr0", "data_dir", "jobs",
+    ]
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [s for a in sub._actions if a.dest != "help" for s in a.option_strings]
+        for name, sub in commands.choices.items()
+    }
+    stream = ["--seed", "--layer", "--rep"]
+    assert options == {
+        "init": ["--method", "--rows", "--cols", "--gain", "--out", *stream],
+        "rewire": ["--in", "--out", "--passes", *stream],
+        "analyze": ["--in", "--side", "--json", "--out"],
+        "sweep": ["--method", "--sizes", "--trials", "--out", "--seed"],
+        "compare": ["--baseline", "--treatment", "--format", "--out"],
+        "cost": ["--sizes", "--reps", "--out", "--seed"],
+        "run": ["--manifest"],
+    }
+    fmt = next(a for a in commands.choices["compare"]._actions if a.dest == "format")
+    assert fmt.choices == ("md", "json")

@@ -318,6 +318,9 @@ class TestVarianceSearch:
             variance_search(spec, 0, "min", stream)
         with pytest.raises(ValueError):
             variance_search(spec, 3, "median", stream)
+        # True used to run one candidate
+        with pytest.raises(ValueError, match="^k: "):
+            variance_search(spec, True, "min", stream)
 
 
 class TestCostProbe:
@@ -336,6 +339,9 @@ class TestCostProbe:
             rewire_cost_probe([128, 64])
         with pytest.raises(ValueError, match="reps"):
             rewire_cost_probe([64], reps=0)
+        # True used to time one rep
+        with pytest.raises(ValueError, match="reps"):
+            rewire_cost_probe([64], reps=True)
 
     @pytest.mark.parametrize("sizes", [[64.9, 128], [True, 128], [], ["64"]])
     def test_sizes_must_be_integers(self, sizes):

@@ -121,3 +121,8 @@ class TestMaxStrengthSweep:
     def test_non_integer_sizes_rejected(self, sizes):
         with pytest.raises(ValueError, match="integers"):
             max_strength_scaling("kaiming-uniform", sizes, 3, derive_stream(0, 0, 0))
+
+    def test_non_integer_trials_rejected(self):
+        # 2.5 used to reach numpy and raise its TypeError
+        with pytest.raises(ValueError, match="trials"):
+            max_strength_scaling("kaiming-uniform", [32], 2.5, derive_stream(0, 0, 0))

@@ -263,10 +263,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MlpArch((10,))
 
-    def test_bad_momentum(self):
-        with pytest.raises(ValueError):
-            toy_config(momentum=1.0)
-
     def test_bad_lr(self):
         with pytest.raises(ValueError):
             toy_config(lr0=0.0)
@@ -277,8 +273,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("epochs", True), ("batch_size", True), ("lr0", True), ("init_gain", False), ("momentum", False),
-         ("global_seed", True), ("repetition_index", True)],
+        [("epochs", True), ("batch_size", True), ("lr0", True), ("global_seed", True),
+         ("repetition_index", True)],
     )
     def test_bool_is_not_a_number(self, field, value):
         with pytest.raises(ValueError):
@@ -294,7 +290,7 @@ class TestConfigValidation:
             toy_config(**{field: value})
 
     def test_bool_is_not_a_layer_size(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="layer sizes"):
             MlpArch((784, True))
 
     def test_summary_fields(self, toy_splits):
