@@ -58,7 +58,7 @@ class InitSpec:
     method: str
     rows: int
     cols: int
-    gain: float = 1.0  # used by orthogonal only
+    gain: float = 1.0  # orthogonal's scale; every other method refuses a gain but 1.0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -68,6 +68,8 @@ class InitSpec:
             raise ValueError(f"rows and cols must be >= 1, got ({self.rows}, {self.cols})")
         if not (_real(self.gain) and math.isfinite(self.gain)):
             raise ValueError(f"gain must be a finite number, got {self.gain!r}")
+        if self.gain != 1.0 and self.method != "orthogonal":
+            raise ValueError(f"only orthogonal takes a gain, {self.method} got gain={self.gain!r}")
 
 
 def init(spec: InitSpec, rng: np.random.Generator) -> np.ndarray:

@@ -248,10 +248,12 @@ def _sizes(sizes) -> list[int]:
 def rewire_cost_probe(sizes, reps: int = 3, seed: int = 0):
     """Wall-time of bidirectional pa_rewire on square n-by-n layers, one row per size.
 
-    `sizes` must be ascending and `reps` >= 1. Each size is timed `reps`
-    times on the same matrix and the minimum is kept, after one small
-    warmup call, so allocator and frequency-scaling noise does not distort
-    the scaling fit. Returns a list of (n, seconds) tuples.
+    `sizes` must be ascending and `reps` >= 1. After one small warmup
+    call, every size is timed once per rep, on the same matrix each time,
+    and the minimum per size is kept. Timing the sizes rep by rep spreads
+    each size's calls over the whole probe, so a slow stretch of the
+    machine cannot hold all of one size's calls and tilt the scaling fit.
+    Returns a list of (n, seconds) tuples.
     """
     sizes = _sizes(sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -260,18 +262,16 @@ def rewire_cost_probe(sizes, reps: int = 3, seed: int = 0):
         raise ValueError("reps must be >= 1")
     warm = derive_stream(seed, 0, 0)
     pa_rewire(init(InitSpec("kaiming-uniform", 64, 64), warm), RewireConfig(rng=warm))
-    table = []
-    for idx, n in enumerate(sizes):
-        stream = derive_stream(seed, idx, 0)
-        w = init(InitSpec("kaiming-uniform", n, n), stream)
-        best = float("inf")
-        for rep in range(reps):
+    best = [float("inf")] * len(sizes)
+    for rep in range(reps):
+        for idx, n in enumerate(sizes):
+            # rebuilt per call, so only one size's matrix is held at a time
+            w = init(InitSpec("kaiming-uniform", n, n), derive_stream(seed, idx, 0))
             cfg = RewireConfig(rng=derive_stream(seed, idx, rep + 1))
             t0 = time.perf_counter()
             pa_rewire(w, cfg)
-            best = min(best, time.perf_counter() - t0)
-        table.append((n, best))
-    return table
+            best[idx] = min(best[idx], time.perf_counter() - t0)
+    return list(zip(sizes, best))
 
 
 @dataclass(frozen=True)

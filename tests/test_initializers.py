@@ -99,6 +99,15 @@ def test_spec_refuses_non_integer_shape_and_bad_gain(rows, cols, gain):
         InitSpec("orthogonal", rows, cols, gain=gain)
 
 
+def test_only_orthogonal_takes_a_gain():
+    # every other method ignored the gain and drew the gain-1.0 matrix
+    for method in METHODS:
+        if method != "orthogonal":
+            with pytest.raises(ValueError, match="only orthogonal takes a gain"):
+                InitSpec(method, 4, 4, gain=5.0)
+            InitSpec(method, 4, 4, gain=1.0)
+
+
 def test_spec_accepts_numpy_numbers():
     a = init(InitSpec("orthogonal", np.int64(8), np.int32(4), gain=np.float64(2.0)), derive_stream(1, 0, 0))
     b = init(InitSpec("orthogonal", 8, 4, gain=2.0), derive_stream(1, 0, 0))

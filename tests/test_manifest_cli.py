@@ -297,6 +297,13 @@ class TestCli:
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_init_refuses_a_gain_its_method_ignores(self, tmp_path):
+        out = tmp_path / "w.wmat"
+        args = ["init", "--method", "kaiming-uniform", "--rows", "4", "--cols", "4", "--out", str(out)]
+        assert main(args + ["--gain", "5"]) == EXIT_DATA
+        assert not out.exists()
+        assert main(args + ["--gain", "1"]) == EXIT_OK
+
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main([

@@ -7,6 +7,7 @@ every field of every RunMetrics must match it bit for bit.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -74,7 +75,7 @@ def _ref_backward(weights, pre, acts, probs, labels):
     return grads_w, grads_b
 
 
-def _ref_evaluate(weights, biases, features, labels, chunk=8192):
+def _ref_evaluate(weights, biases, features, labels, chunk=2048):
     n = features.shape[0]
     correct = 0
     loss_sum = 0.0
@@ -237,7 +238,7 @@ def test_population_divergence_names_lowest_repetition(monkeypatch, splits):
     assert train(cfgs[0], *splits).__dict__ == reference_train(cfgs[0], *splits).__dict__
 
 
-@pytest.mark.parametrize("eval_chunk", [8192, 7])
+@pytest.mark.parametrize("eval_chunk", [2048, 7])
 def test_pixels_train_like_their_scaled_copy(monkeypatch, eval_chunk):
     # uint8 features are scaled one batch and one evaluation chunk at a
     # time; the metrics must equal those of training on scale_pixels of
@@ -254,3 +255,25 @@ def test_pixels_train_like_their_scaled_copy(monkeypatch, eval_chunk):
     want = train_population(cfgs, *(scale_pixels(p) for p in parts))
     assert [m.__dict__ for m in got] == [m.__dict__ for m in want]
     assert got[0].train_acc[-1] > 20.0  # the task is learned, not a constant
+
+
+def test_memory_is_weights_plus_a_few_chunks():
+    # MNIST-shaped uint8 splits, built before tracing: evaluation scales
+    # _EVAL_CHUNK rows at a time into one reused buffer, so the peak is set
+    # by the chunk, not by the size of a split
+    gen = np.random.default_rng(3)
+    parts = [
+        Dataset(gen.integers(0, 256, size=(n, 784), dtype=np.uint8), gen.integers(0, 10, size=n))
+        for n in (10000, 2000, 2000)
+    ]
+    cfgs = [
+        TrainConfig(arch=MlpArch((784, 64, 64, 10)), epochs=1, global_seed=4, repetition_index=r)
+        for r in range(4)
+    ]
+    tracemalloc.start()
+    try:
+        train_population(cfgs, *parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
