@@ -9,8 +9,9 @@ derives every stream it uses from the seed. Training runs only through
 layer file, a sweep table, a training run) can be regenerated in
 isolation.
 
-Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
-files, bad configuration values), 3 numeric failure (training diverged).
+Exit codes: 0 success, 1 usage error, 2 data error (a malformed or
+unreadable file, including a corrupt .gz, a bad value, or an OS error
+while reading or writing), 3 numeric failure (training diverged).
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dataset import IdxError
 from .initializers import METHODS, InitSpec, init
 from .manifest import ExperimentManifest, read_run_dir, run_manifest
-from .matrix_io import MatrixIOError, load_matrix, save_matrix
+from .matrix_io import load_matrix, save_matrix
 from .rewiring import (
     PASS_MODES,
     RewireConfig,
@@ -206,13 +206,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"strength-init: training diverged: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (
-        MatrixIOError,
-        IdxError,
-        FileNotFoundError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"strength-init: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -11,6 +11,12 @@ load_named_dataset) applies it to a whole dataset, while an experiment
 keeps its splits uint8 and training applies it one batch or evaluation
 chunk at a time. Labels stay integer class ids.
 
+A file that breaks the format (a wrong magic, a header or payload of the
+wrong length, a .gz that is not gzip, is cut short or is corrupt) and an
+image/label pair that disagrees on the sample count are refused with
+ValueError naming the path; a failure of the file system itself
+surfaces as OSError.
+
 The experiment protocol holds out a validation set sampled once from the
 training set (same size as the test set); the split is a function of the
 experiment's global seed, never of the repetition, so every repetition
@@ -22,6 +28,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,9 +39,6 @@ from .initializers import _int
 __all__ = [
     "IMAGE_MAGIC",
     "LABEL_MAGIC",
-    "IdxError",
-    "IdxMagicError",
-    "IdxCountMismatchError",
     "Dataset",
     "read_idx_images",
     "read_idx_labels",
@@ -61,18 +65,6 @@ _IDX_FILES = {
 }
 
 
-class IdxError(Exception):
-    """Base class for IDX ingestion failures."""
-
-
-class IdxMagicError(IdxError):
-    """File does not start with the expected IDX magic number."""
-
-
-class IdxCountMismatchError(IdxError):
-    """Image and label files disagree on the number of samples."""
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Flat features plus integer labels."""
@@ -82,7 +74,7 @@ class Dataset:
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
-            raise IdxCountMismatchError(
+            raise ValueError(
                 f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels"
             )
 
@@ -106,17 +98,21 @@ def _open(path, mode: str):
 def _read_idx(path, magic: int, kind: str) -> np.ndarray:
     """The uint8 array of an IDX file that must carry `magic`."""
     rank = magic & 0xFF
-    with _open(path, "rb") as f:
-        header = f.read(4 * (rank + 1))
-        payload = f.read()
+    try:
+        with _open(path, "rb") as f:
+            header = f.read(4 * (rank + 1))
+            payload = f.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        # a .gz that is not gzip, is cut short or has a corrupt stream
+        raise ValueError(f"{path}: {exc}") from exc
     if header[:4] != struct.pack(">i", magic):
-        raise IdxMagicError(f"{path}: {kind} magic 0x{header[:4].hex()}, expected 0x{magic:08x}")
+        raise ValueError(f"{path}: {kind} magic 0x{header[:4].hex()}, expected 0x{magic:08x}")
     if len(header) != 4 * (rank + 1):
-        raise IdxError(f"{path}: truncated IDX header")
+        raise ValueError(f"{path}: truncated IDX header")
     shape = struct.unpack(f">{rank}I", header[4:])
     size = math.prod(shape)
     if len(payload) != size:
-        raise IdxError(f"{path}: payload holds {len(payload)} bytes, header declares {size}")
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes, header declares {size}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape).copy()
 
 
@@ -155,7 +151,7 @@ def _load_idx_pixels(images_path, labels_path) -> Dataset:
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
-        raise IdxCountMismatchError(
+        raise ValueError(
             f"{images_path} has {images.shape[0]} images but "
             f"{labels_path} has {labels.shape[0]} labels"
         )

@@ -192,7 +192,12 @@ def run_manifest(manifest: ExperimentManifest) -> int:
 
 def read_run_dir(runs_dir) -> list[dict]:
     """Load every rep_*.jsonl in a directory into {records, summary} docs,
-    in repetition order (rep_999 before rep_1000)."""
+    in repetition order (rep_999 before rep_1000).
+
+    A line that is not a JSON object, and a file without a summary record
+    holding every COMPARE_METRICS key, are refused with ValueError naming
+    the file.
+    """
     runs_dir = Path(runs_dir)
     files = sorted(runs_dir.glob("rep_*.jsonl"), key=lambda p: (len(p.name), p.name))
     if not files:
@@ -203,13 +208,21 @@ def read_run_dir(runs_dir) -> list[dict]:
         summary = None
         with open(fp) as f:
             for line in f:
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{fp}: {exc}") from exc
+                if not isinstance(rec, dict):
+                    raise ValueError(f"{fp}: a line is not a JSON object: {line.strip()[:80]}")
                 if rec.get("type") == "summary":
                     summary = rec
                 else:
                     records.append(rec)
         if summary is None:
             raise ValueError(f"{fp} has no summary record")
+        missing = [key for key, _, _ in COMPARE_METRICS if key not in summary]
+        if missing:
+            raise ValueError(f"{fp}: summary record lacks {missing}")
         docs.append({"records": records, "summary": summary})
     return docs
 

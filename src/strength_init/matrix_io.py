@@ -12,6 +12,10 @@ WMAT is the repository's on-disk binary format: a single ASCII header line
 
 followed immediately by R*C*8 bytes of raw little-endian float64. The
 round trip is bit-exact, which the reproducibility checks rely on.
+
+A matrix of the wrong rank, an empty shape or a non-finite entry, and a
+file that breaks the format, are refused with ValueError; a failure of
+the file system itself surfaces as OSError.
 """
 
 from __future__ import annotations
@@ -23,10 +27,6 @@ import re
 import numpy as np
 
 __all__ = [
-    "MatrixIOError",
-    "HeaderError",
-    "PayloadError",
-    "NonFiniteError",
     "validate_matrix",
     "save_matrix",
     "load_matrix",
@@ -40,22 +40,6 @@ _HEADER_RE = re.compile(
 _MAX_HEADER_LEN = 128
 
 
-class MatrixIOError(Exception):
-    """Base class for matrix I/O failures."""
-
-
-class HeaderError(MatrixIOError):
-    """WMAT header line is missing, malformed, or declares a bad shape."""
-
-
-class PayloadError(MatrixIOError):
-    """Payload length does not match the shape declared in the header."""
-
-
-class NonFiniteError(MatrixIOError):
-    """A matrix entry is NaN or infinite."""
-
-
 def _checked(a, ndim: int, name: str) -> np.ndarray:
     """`a` as a C-contiguous float64 array of rank `ndim` with every
     dimension >= 1 and every entry finite; aliases `a` when it conforms."""
@@ -66,14 +50,14 @@ def _checked(a, ndim: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} must have all dims >= 1, got {arr.shape}")
     if not np.isfinite(arr).all():
         bad = int(np.count_nonzero(~np.isfinite(arr)))
-        raise NonFiniteError(f"{name} has {bad} non-finite entries")
+        raise ValueError(f"{name} has {bad} non-finite entries")
     return arr
 
 
 def validate_matrix(m, name: str = "matrix") -> np.ndarray:
     """Return `m` as a C-contiguous float64 2-D array, checking invariants.
 
-    Raises ValueError on bad rank/shape and NonFiniteError on NaN/Inf.
+    Raises ValueError on a bad rank or shape and on a NaN or Inf entry.
     The returned array may alias the input when it already conforms;
     callers that mutate must copy.
     """
@@ -100,17 +84,18 @@ def load_matrix(path) -> np.ndarray:
     """Read a WMAT file back into a float64 matrix.
 
     The payload is read straight into the returned array. Raises
-    HeaderError, PayloadError, or NonFiniteError depending on what is
-    wrong with the file.
+    ValueError, naming the path, when the header is missing or malformed,
+    the payload length disagrees with the header's shape, or an entry is
+    not finite; OSError when the file cannot be read.
     """
     with open(path, "rb") as f:
         header = _read_header_line(f, path)
         match = _HEADER_RE.match(header)
         if match is None:
-            raise HeaderError(f"{path}: malformed WMAT header {header!r}")
+            raise ValueError(f"{path}: malformed WMAT header {header!r}")
         rows, cols = int(match.group(1)), int(match.group(2))
         if rows < 1 or cols < 1:
-            raise HeaderError(f"{path}: header declares empty shape ({rows}, {cols})")
+            raise ValueError(f"{path}: header declares empty shape ({rows}, {cols})")
         expected = rows * cols * 8
         # compare with the file size before allocating, so a corrupt header
         # cannot ask for an arbitrarily large array
@@ -120,7 +105,7 @@ def load_matrix(path) -> np.ndarray:
             # a file that shrinks or grows while being read still fails below
             found = f.readinto(_bytes_view(arr)) + len(f.read(1))
         if found != expected:
-            raise PayloadError(
+            raise ValueError(
                 f"{path}: expected {expected} payload bytes for shape "
                 f"({rows}, {cols}), found {found}"
             )
@@ -135,7 +120,7 @@ def _bytes_view(arr: np.ndarray) -> memoryview:
 def _read_header_line(f: io.BufferedReader, path) -> bytes:
     line = f.readline(_MAX_HEADER_LEN)
     if not line.endswith(b"\n"):
-        raise HeaderError(f"{path}: missing or overlong WMAT header line")
+        raise ValueError(f"{path}: missing or overlong WMAT header line")
     return line[:-1]
 
 

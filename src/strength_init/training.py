@@ -188,14 +188,12 @@ class RunMetrics:
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite; carries where it happened.
 
-    `repetition` names the diverged member of a population, and is None
-    for a population of one.
+    `repetition` is the diverged member's repetition_index, also when it
+    trained alone.
     """
 
-    def __init__(self, epoch: int, batch: int, loss: float, repetition: int | None = None):
-        where = f"epoch {epoch}, batch {batch}"
-        if repetition is not None:
-            where += f", repetition {repetition}"
+    def __init__(self, epoch: int, batch: int, loss: float, repetition: int):
+        where = f"epoch {epoch}, batch {batch}, repetition {repetition}"
         super().__init__(f"non-finite loss {loss} at {where}")
         self.epoch = epoch
         self.batch = batch
@@ -354,7 +352,7 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     give the same metrics as their scale_pixels copy.
 
     Raises TrainingDivergedError at the first batch where any member's
-    loss is non-finite, naming the lowest such repetition when R > 1.
+    loss is non-finite, naming the lowest such repetition.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -412,7 +410,7 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
             bad = np.flatnonzero(~np.isfinite(losses))
             if bad.size:
                 r = min(bad, key=lambda i: cfgs[i].repetition_index)
-                rep = cfgs[r].repetition_index if n_pop > 1 else None
+                rep = cfgs[r].repetition_index
                 raise TrainingDivergedError(epoch + 1, batch_i + 1, float(losses[r]), rep)
             grads_w, grads_b = _backward(weights, pre, acts, probs, yb)
             for l, g in enumerate(grads_w):

@@ -1,7 +1,9 @@
-"""Helpers shared between test modules: a synthetic IDX dataset, the
-closed-form oracles the initializer and strength tests compare against,
-and the per-column draw the rewiring kernel is checked against."""
+"""Helpers shared between test modules: a synthetic IDX dataset and
+unreadable .gz variants of a file, the closed-form oracles the
+initializer and strength tests compare against, and the per-column draw
+the rewiring kernel is checked against."""
 
+import gzip
 import math
 
 import numpy as np
@@ -76,3 +78,18 @@ def weighted_draw_order(p: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """
     keys = gen.standard_exponential(p.shape[0]) / p
     return np.argsort(keys)
+
+
+def broken_gzip(raw: bytes, how: str) -> bytes:
+    """Bytes for a .gz file holding `raw` that gzip cannot read back:
+    "not-gzip" (`raw` itself), "truncated" (half the compressed stream) or
+    "flipped" (one deflate byte inverted, which zlib rejects)."""
+    if how == "not-gzip":
+        return raw
+    gz = gzip.compress(raw, mtime=0)
+    if how == "truncated":
+        return gz[: len(gz) // 2]
+    if how == "flipped":
+        # the header is 10 bytes; byte 11 sits in the first block's code lengths
+        return gz[:11] + bytes([gz[11] ^ 0xFF]) + gz[12:]
+    raise ValueError(f"unknown breakage {how!r}")

@@ -1,14 +1,16 @@
+import gzip
+import re
+import zlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import broken_gzip
 from strength_init.dataset import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
     Dataset,
-    IdxCountMismatchError,
-    IdxError,
-    IdxMagicError,
     _load_idx_pixels,
     dataset_paths,
     load_named_dataset,
@@ -83,7 +85,7 @@ def test_bad_image_magic(tmp_path, idx_pair):
     _, lpath, *_ = idx_pair
     bad = tmp_path / "bad.idx"
     bad.write_bytes(b"\x00\x00\x08\x01" + b"\x00" * 12)
-    with pytest.raises(IdxMagicError):
+    with pytest.raises(ValueError, match="image magic 0x00000801, expected"):
         read_idx_images(bad)
 
 
@@ -91,14 +93,14 @@ def test_bad_label_magic(tmp_path, idx_pair):
     ipath, _, *_ = idx_pair
     bad = tmp_path / "bad.idx"
     bad.write_bytes(b"\xff\x00\x08\x01" + b"\x00" * 4)
-    with pytest.raises(IdxMagicError):
+    with pytest.raises(ValueError, match="label magic 0xff000801, expected"):
         load_idx(ipath, bad)
 
 
 def test_count_mismatch(tmp_path, rng):
     write_idx_images(tmp_path / "i.idx", rng.integers(0, 255, (5, 2, 2), dtype=np.uint8))
     write_idx_labels(tmp_path / "l.idx", rng.integers(0, 10, 7, dtype=np.uint8))
-    with pytest.raises(IdxCountMismatchError):
+    with pytest.raises(ValueError, match="has 5 images but .* has 7 labels"):
         load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
 
 
@@ -107,10 +109,10 @@ def test_truncated_payload(tmp_path, idx_pair):
     data = ipath.read_bytes()
     trunc = tmp_path / "trunc.idx"
     trunc.write_bytes(data[:-10])
-    with pytest.raises(IdxError):
+    with pytest.raises(ValueError, match="payload holds 990 bytes, header declares 1000"):
         read_idx_images(trunc)
     trunc.write_bytes(data[:10])  # the magic and part of the dimensions
-    with pytest.raises(IdxError, match="truncated"):
+    with pytest.raises(ValueError, match="truncated IDX header"):
         read_idx_images(trunc)
 
 
@@ -121,6 +123,19 @@ def test_gzip_round_trip(tmp_path, rng):
     write_idx_labels(tmp_path / "l.idx.gz", labels)
     ds = load_idx(tmp_path / "i.idx.gz", tmp_path / "l.idx.gz")
     npt.assert_allclose(ds.features, images.reshape(6, 9) / 255.0)
+
+
+@pytest.mark.parametrize(
+    "how, cause",
+    [("not-gzip", gzip.BadGzipFile), ("truncated", EOFError), ("flipped", zlib.error)],
+)
+def test_broken_gzip_is_a_value_error_naming_the_path(tmp_path, idx_pair, how, cause):
+    ipath, *_ = idx_pair
+    bad = tmp_path / "i.idx.gz"
+    bad.write_bytes(broken_gzip(ipath.read_bytes(), how))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: ") as exc:
+        read_idx_images(bad)
+    assert isinstance(exc.value.__cause__, cause)
 
 
 class TestSplit:

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import make_synthetic_mnist
+from helpers import broken_gzip, make_synthetic_mnist
 
+import strength_init
 from strength_init.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from strength_init.dataset import load_named_dataset, load_named_pixels, scale_pixels, split
 from strength_init.manifest import (
@@ -21,6 +26,8 @@ from strength_init.manifest import (
 from strength_init.matrix_io import load_matrix
 from strength_init.rng import SPLIT_DOMAIN, harness_generator
 from strength_init.training import MlpArch, TrainConfig
+
+SRC = Path(strength_init.__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +49,20 @@ def tiny_manifest(data_dir, out_dir, **kw):
     )
     base.update(kw)
     return ExperimentManifest(**base)
+
+
+def summary_record(r, acc=90.0):
+    """A run file's summary record for repetition r, holding every compared metric."""
+    return {"type": "summary", "repetition": r, "epoch1_train_acc": acc + r,
+            "epoch1_val_acc": acc - r, "convergence_epoch": 2 + r, "test_acc": acc + 0.5 * r}
+
+
+def write_run_dir(d, acc=90.0, n=3):
+    """n run files holding only their summary records; returns the path as a string."""
+    d.mkdir()
+    for r in range(n):
+        (d / f"rep_{r:03d}.jsonl").write_text(json.dumps(summary_record(r, acc)) + "\n")
+    return str(d)
 
 
 class TestManifest:
@@ -246,8 +267,7 @@ class TestManifest:
     def test_read_run_dir_in_repetition_order(self, tmp_path):
         # sorted by name, rep_1000 came between rep_100 and rep_101
         for r in range(1001):
-            summary = {"type": "summary", "repetition": r}
-            (tmp_path / f"rep_{r:03d}.jsonl").write_text(json.dumps(summary) + "\n")
+            (tmp_path / f"rep_{r:03d}.jsonl").write_text(json.dumps(summary_record(r)) + "\n")
         docs = read_run_dir(tmp_path)
         assert [doc["summary"]["repetition"] for doc in docs] == list(range(1001))
 
@@ -411,17 +431,84 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_compare_alpha_is_usage_error(self, tmp_path):
-        dirs = []
-        for arm, acc in (("base", 90.0), ("treat", 95.0)):
-            d = tmp_path / arm
-            d.mkdir()
-            for r in range(3):
-                summary = {"type": "summary", "repetition": r, "epoch1_train_acc": acc + r,
-                           "epoch1_val_acc": acc - r, "convergence_epoch": 2 + r,
-                           "test_acc": acc + 0.5 * r}
-                (d / f"rep_{r:03d}.jsonl").write_text(json.dumps(summary) + "\n")
-            dirs.append(str(d))
+        dirs = [write_run_dir(tmp_path / "base", 90.0), write_run_dir(tmp_path / "treat", 95.0)]
         args = ["compare", "--baseline", dirs[0], "--treatment", dirs[1], "--out"]
         assert main(args + [str(tmp_path / "c.md")]) == EXIT_OK
         assert main(args + [str(tmp_path / "alpha.md"), "--alpha", "0.05"]) == EXIT_USAGE
         assert not (tmp_path / "alpha.md").exists()
+
+
+# Each case sets up a file failure in tmp_path and returns the CLI's argv
+# and a fragment its one stderr line must hold.
+def _analyze_a_directory(tmp_path):
+    return ["analyze", "--in", str(tmp_path)], str(tmp_path)
+
+
+def _init_out_a_directory(tmp_path):
+    argv = ["init", "--method", "kaiming-uniform", "--rows", "4", "--cols", "4"]
+    return argv + ["--out", str(tmp_path)], str(tmp_path)
+
+
+def _run_out_dir_a_file(tmp_path):
+    out = tmp_path / "out"
+    out.write_text("")
+    mpath = tmp_path / "m.json"
+    mpath.write_text(tiny_manifest(make_synthetic_mnist(tmp_path / "data"), out).to_json())
+    return ["run", "--manifest", str(mpath)], str(out)
+
+
+def _run_on_broken_gz(how):
+    def case(tmp_path):
+        data = make_synthetic_mnist(tmp_path / "data")
+        plain = data / "mnist" / "train-images-idx3-ubyte"
+        Path(f"{plain}.gz").write_bytes(broken_gzip(plain.read_bytes(), how))
+        plain.unlink()
+        mpath = tmp_path / "m.json"
+        mpath.write_text(tiny_manifest(data, tmp_path / "out").to_json())
+        return ["run", "--manifest", str(mpath)], f"{plain}.gz: "
+    return case
+
+
+def _compare_malformed(rep_001):
+    def case(tmp_path):
+        base = write_run_dir(tmp_path / "base")
+        bad = tmp_path / "base" / "rep_001.jsonl"
+        bad.write_text(rep_001)
+        treat = write_run_dir(tmp_path / "treat", 95.0)
+        return ["compare", "--baseline", base, "--treatment", treat], f"{bad}: "
+    return case
+
+
+_NO_TEST_ACC = {k: v for k, v in summary_record(1).items() if k != "test_acc"}
+
+FILE_FAILURES = {
+    "analyze-in-directory": _analyze_a_directory,
+    "init-out-directory": _init_out_a_directory,
+    "run-out-dir-is-a-file": _run_out_dir_a_file,
+    "gz-not-gzip": _run_on_broken_gz("not-gzip"),
+    "gz-truncated": _run_on_broken_gz("truncated"),
+    "gz-flipped-deflate-byte": _run_on_broken_gz("flipped"),
+    "run-file-line-not-json": _compare_malformed("{broken\n"),
+    "run-file-line-not-an-object": _compare_malformed(
+        "[1, 2]\n" + json.dumps(summary_record(1)) + "\n"
+    ),
+    "run-file-summary-lacks-a-metric": _compare_malformed(json.dumps(_NO_TEST_ACC) + "\n"),
+}
+
+
+@pytest.mark.parametrize("case", FILE_FAILURES.values(), ids=FILE_FAILURES.keys())
+def test_file_failure_exits_2_with_one_line(tmp_path, case):
+    argv, fragment = case(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "strength_init.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_DATA, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("strength-init: ") and fragment in line, line

@@ -4,9 +4,6 @@ import pytest
 
 from strength_init.initializers import InitSpec, init
 from strength_init.matrix_io import (
-    HeaderError,
-    NonFiniteError,
-    PayloadError,
     conv_from_2d,
     conv_to_2d,
     load_matrix,
@@ -55,36 +52,36 @@ class TestWmatErrors:
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.wmat"
         path.write_bytes(b"WMAT2 rows=1 cols=1 dtype=f64 order=row-major endian=little\n" + b"\0" * 8)
-        with pytest.raises(HeaderError):
+        with pytest.raises(ValueError, match="malformed WMAT header"):
             load_matrix(path)
 
     def test_missing_newline(self, tmp_path):
         path = tmp_path / "bad.wmat"
         path.write_bytes(b"WMAT1 rows=1")
-        with pytest.raises(HeaderError):
+        with pytest.raises(ValueError, match="missing or overlong WMAT header line"):
             load_matrix(path)
 
     def test_payload_too_short(self, tmp_path):
         path = tmp_path / "short.wmat"
         path.write_bytes(b"WMAT1 rows=2 cols=2 dtype=f64 order=row-major endian=little\n" + b"\0" * 24)
-        with pytest.raises(PayloadError):
+        with pytest.raises(ValueError, match="expected 32 payload bytes .* found 24"):
             load_matrix(path)
 
     def test_payload_too_long(self, tmp_path):
         path = tmp_path / "long.wmat"
         path.write_bytes(b"WMAT1 rows=1 cols=1 dtype=f64 order=row-major endian=little\n" + b"\0" * 16)
-        with pytest.raises(PayloadError):
+        with pytest.raises(ValueError, match="expected 8 payload bytes .* found 16"):
             load_matrix(path)
 
     def test_non_finite_payload(self, tmp_path):
         path = tmp_path / "nan.wmat"
         payload = np.array([[np.nan]]).tobytes()
         path.write_bytes(b"WMAT1 rows=1 cols=1 dtype=f64 order=row-major endian=little\n" + payload)
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(ValueError, match="payload has 1 non-finite entries"):
             load_matrix(path)
 
     def test_save_rejects_nan(self, tmp_path):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(ValueError, match="matrix has 1 non-finite entries"):
             save_matrix(np.array([[np.inf]]), tmp_path / "x.wmat")
 
     def test_save_reports_path_on_io_failure(self, tmp_path):
@@ -147,7 +144,7 @@ class TestValidate:
             validate_matrix(np.zeros((0, 3)))
 
     def test_rejects_nan(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(ValueError, match="matrix has 1 non-finite entries"):
             validate_matrix(np.array([[1.0, np.nan]]))
 
     def test_conv_checked_by_the_same_rules(self):
@@ -155,7 +152,7 @@ class TestValidate:
             validate_conv(np.zeros((3, 3, 4)))
         with pytest.raises(ValueError, match="dims >= 1"):
             validate_conv(np.zeros((3, 3, 0, 2)))
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(ValueError, match=r"conv tensor \(w, h, z, o\) has 2 non-finite entries"):
             validate_conv(np.full((1, 1, 1, 2), np.inf))
         bank = np.zeros((2, 2, 1, 3))
         assert validate_conv(bank) is bank

@@ -122,7 +122,7 @@ def reference_train(cfg, train_ds, val_ds, test_ds):
                 pre, acts = _ref_forward_collect(weights, biases, xb)
                 loss, probs = _ref_softmax_ce(pre[-1], yb)
             if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch + 1, batch_i + 1, loss)
+                raise TrainingDivergedError(epoch + 1, batch_i + 1, loss, cfg.repetition_index)
             grads_w, grads_b = _ref_backward(weights, pre, acts, probs, yb)
             for l, g in enumerate(grads_w):
                 grad_sums[l] += float(np.abs(g).mean())
@@ -229,12 +229,11 @@ def test_population_divergence_names_lowest_repetition(monkeypatch, splits):
     assert (exc.value.epoch, exc.value.batch, exc.value.repetition) == (1, 1, 1)
     assert not math.isfinite(exc.value.loss)
     assert "repetition 1" in str(exc.value)
-    # alone, the same repetition diverges at the same place and the
-    # message keeps the single-run form
+    # alone, the same repetition diverges at the same place and is still named
     with pytest.raises(TrainingDivergedError) as alone:
         train(cfgs[1], *splits)
-    assert (alone.value.epoch, alone.value.batch, alone.value.repetition) == (1, 1, None)
-    assert str(alone.value) == f"non-finite loss {alone.value.loss} at epoch 1, batch 1"
+    assert (alone.value.epoch, alone.value.batch, alone.value.repetition) == (1, 1, 1)
+    assert str(alone.value) == f"non-finite loss {alone.value.loss} at epoch 1, batch 1, repetition 1"
     assert train(cfgs[0], *splits).__dict__ == reference_train(cfgs[0], *splits).__dict__
 
 

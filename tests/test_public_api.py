@@ -5,13 +5,14 @@ The demos and the README's python blocks are parsed, not run; so are the
 README's ``strength-init`` command lines, against the CLI's own parser, and
 its JSON blocks, as experiment manifests. Every manifest field is named in
 the README. The configuration surface (every config field and CLI option)
-is pinned in one list.
+is pinned in one list, and so is every module's public surface.
 """
 
 import argparse
 import ast
 import dataclasses
 import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -128,3 +129,40 @@ def test_configuration_surface():
     }
     fmt = next(a for a in commands.choices["compare"]._actions if a.dest == "format")
     assert fmt.choices == ("md", "json")
+
+
+def test_module_surface():
+    # every module's public names in one list: adding or dropping one edits
+    # it (the top-level list is pinned to the tour and the demos above)
+    surface = {
+        m.name: getattr(importlib.import_module(f"strength_init.{m.name}"), "__all__", None)
+        for m in pkgutil.iter_modules(strength_init.__path__)
+    }
+    assert surface == {
+        "cli": None,
+        "dataset": [
+            "IMAGE_MAGIC", "LABEL_MAGIC", "Dataset", "read_idx_images", "read_idx_labels",
+            "write_idx_images", "write_idx_labels", "split", "dataset_paths",
+            "load_named_pixels", "load_named_dataset", "pixels_to_float", "scale_pixels",
+        ],
+        "initializers": ["METHODS", "InitSpec", "init"],
+        "manifest": [
+            "ExperimentManifest", "run_manifest", "plot_export", "read_run_dir", "resolve_data_dir",
+        ],
+        "matrix_io": ["validate_matrix", "save_matrix", "load_matrix", "conv_to_2d", "conv_from_2d"],
+        "rewiring": [
+            "PASS_MODES", "RewireConfig", "attachment_scores", "pa_rewire", "pa_rewire_conv",
+            "variance_search", "rewire_cost_probe", "fit_loglog_slope", "SweepRow",
+            "max_strength_scaling", "sweep_rows_to_csv",
+        ],
+        "rng": ["derive_stream"],
+        "stats": [
+            "welch_t_test", "kruskal_wallis", "pearson", "median_abs_deviation", "sample_std",
+            "MetricComparison", "ComparisonReport", "compare", "COMPARE_METRICS", "ALPHA",
+        ],
+        "strength": ["SIDES", "strengths", "StrengthStats", "stats_from_strengths", "strength_stats"],
+        "training": [
+            "MlpArch", "TrainConfig", "RunMetrics", "TrainingDivergedError", "parse_rewire_mode",
+            "cosine_lr", "build_layer_weights", "train", "train_population", "evaluate",
+        ],
+    }

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import weighted_draw_order
 from strength_init.initializers import InitSpec, init
-from strength_init.matrix_io import NonFiniteError, conv_to_2d
+from strength_init.matrix_io import conv_to_2d
 from strength_init.rewiring import (
     PASS_MODES,
     RewireConfig,
@@ -140,7 +140,7 @@ class TestPaPass:
         npt.assert_array_equal(a, b)
 
     def test_non_finite_rejected(self, stream):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(ValueError, match="matrix has 1 non-finite entries"):
             pa_rewire(
                 np.array([[1.0, np.nan], [0.0, 2.0]]),
                 RewireConfig(rng=stream, passes="input-only"),
