@@ -12,15 +12,10 @@ distribution toward zero without changing a single weight value.
 
 import numpy as np
 
-from strength_init import (
-    InitSpec,
-    RewireConfig,
-    derive_stream,
-    init,
-    pa_rewire,
-    strength_stats,
-    strengths,
-)
+from strength_init.initializers import InitSpec, init
+from strength_init.rewiring import RewireConfig, pa_rewire
+from strength_init.rng import derive_stream
+from strength_init.strength import strength_stats, strengths
 
 n = 1024
 print(f"layer size {n}x{n}, one seed per method\n")

@@ -11,8 +11,8 @@ max_strength_scaling.csv to the current working directory).
 
 from pathlib import Path
 
-from strength_init import derive_stream, max_strength_scaling
-from strength_init.rewiring import sweep_rows_to_csv
+from strength_init.rewiring import max_strength_scaling, sweep_rows_to_csv
+from strength_init.rng import derive_stream
 
 rows = max_strength_scaling(
     "kaiming-uniform",

@@ -11,7 +11,10 @@ effect comes from variance alone.
 
 import numpy as np
 
-from strength_init import InitSpec, derive_stream, init, strengths, variance_search
+from strength_init.initializers import InitSpec, init
+from strength_init.rewiring import variance_search
+from strength_init.rng import derive_stream
+from strength_init.strength import strengths
 
 spec = InitSpec("kaiming-normal", 800, 500)
 K = 20

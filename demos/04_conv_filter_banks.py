@@ -10,20 +10,16 @@ rewiring) apply unchanged, and the reshape is a bijection on entries.
 
 import numpy as np
 
-from strength_init import (
-    InitSpec,
-    RewireConfig,
-    conv_to_2d,
-    derive_stream,
-    init,
-    pa_rewire_conv,
-    strength_stats,
-)
+from strength_init.initializers import InitSpec, init
+from strength_init.matrix_io import conv_from_2d, conv_to_2d
+from strength_init.rewiring import RewireConfig, pa_rewire_conv
+from strength_init.rng import derive_stream
+from strength_init.strength import strength_stats
 
 w, h, z, o = 3, 3, 16, 32
 stream = derive_stream(11, 0, 0)
 flat = init(InitSpec("kaiming-normal", w * h * z, o), stream)
-bank = flat.reshape(w, h, z, o)
+bank = conv_from_2d(flat, (w, h, z))
 print(f"filter bank {bank.shape} -> matrix {conv_to_2d(bank).shape}")
 
 base = strength_stats(conv_to_2d(bank), "input")

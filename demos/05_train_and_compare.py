@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from strength_init import ExperimentManifest, run_manifest
 from strength_init.dataset import write_idx_images, write_idx_labels
+from strength_init.manifest import ExperimentManifest, run_manifest
 
 work = Path(tempfile.mkdtemp(prefix="strength_init_demo_"))
 

@@ -12,9 +12,9 @@ epochs; the tiny synthetic task here just demonstrates the machinery.)
 
 import numpy as np
 
-from strength_init import MlpArch, TrainConfig, split, train
-from strength_init.dataset import Dataset
+from strength_init.dataset import Dataset, split
 from strength_init.rng import derive_stream
+from strength_init.training import MlpArch, TrainConfig, train
 
 gen = np.random.default_rng(5)
 centers = gen.normal(scale=2.0, size=(6, 20))

@@ -8,8 +8,7 @@ paid once at initialization. The probe times real layers and fits the
 log-log slope.
 """
 
-from strength_init import rewire_cost_probe
-from strength_init.rewiring import fit_loglog_slope
+from strength_init.rewiring import fit_loglog_slope, rewire_cost_probe
 
 table = rewire_cost_probe([128, 256, 512, 1024], reps=3)
 print(f"{'n':>6s} {'seconds':>10s}")

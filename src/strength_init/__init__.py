@@ -19,47 +19,15 @@ uint8 image pixels:
 - ``manifest``      reproducible experiment runner
 - ``cli``           the ``strength-init`` command-line pipeline
 
-The top level re-exports only the names the README tour and the demos use.
-Every other public name is imported from its module, e.g.
-``strength_init.matrix_io.save_matrix``.
+Every public name is imported from its module, e.g.
+``from strength_init.rewiring import RewireConfig, pa_rewire``.
 """
 
 __version__ = "0.1.0"
 
-from .initializers import InitSpec, init
-from .matrix_io import conv_to_2d
-from .rewiring import (
-    RewireConfig,
-    max_strength_scaling,
-    pa_rewire,
-    pa_rewire_conv,
-    rewire_cost_probe,
-    variance_search,
-)
-from .rng import derive_stream
-from .strength import strength_stats, strengths
-from .dataset import split
-from .manifest import ExperimentManifest, run_manifest
-from .training import MlpArch, TrainConfig, train
+# Bind every module but cli (the command line's alone), so that after
+# `import strength_init as si` the benchmark harness can reach
+# `si.rewiring.pa_rewire` and `getattr(si, "training")`.
+from . import dataset, initializers, manifest, matrix_io, rewiring, rng, stats, strength, training
 
-__all__ = [
-    "__version__",
-    "InitSpec",
-    "init",
-    "conv_to_2d",
-    "RewireConfig",
-    "pa_rewire",
-    "pa_rewire_conv",
-    "variance_search",
-    "rewire_cost_probe",
-    "max_strength_scaling",
-    "derive_stream",
-    "strengths",
-    "strength_stats",
-    "split",
-    "ExperimentManifest",
-    "run_manifest",
-    "MlpArch",
-    "TrainConfig",
-    "train",
-]
+__all__ = ["__version__"]

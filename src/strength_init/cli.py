@@ -7,7 +7,9 @@ take --layer/--rep; sweep draws from derive_stream(seed, 0, 0), and cost
 derives every stream it uses from the seed. Training runs only through
 `run`, whose manifest carries its own seed. So any single artifact (a
 layer file, a sweep table, a training run) can be regenerated in
-isolation.
+isolation. rewire restarts the layer's stream, so its file differs from
+the `pa` layer that training builds on init's continued stream (its keys
+repeat init's raw draws); its strength collapse is the same within noise.
 
 Exit codes: 0 success, 1 usage error, 2 data error (a malformed or
 unreadable file, including a corrupt .gz, a bad value, or an OS error

@@ -18,6 +18,7 @@ scales each batch and evaluation chunk as it uses it.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import DATASET_NAMES, load_named_pixels, split
-from .initializers import _int
+from .initializers import _int, _real
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import COMPARE_METRICS, compare, sample_std
 from .training import MlpArch, TrainConfig, train_population
@@ -195,8 +196,8 @@ def read_run_dir(runs_dir) -> list[dict]:
     in repetition order (rep_999 before rep_1000).
 
     A line that is not a JSON object, and a file without a summary record
-    holding every COMPARE_METRICS key, are refused with ValueError naming
-    the file.
+    holding every COMPARE_METRICS key as a finite number (not a bool, NaN
+    or Infinity), are refused with ValueError naming the file.
     """
     runs_dir = Path(runs_dir)
     files = sorted(runs_dir.glob("rep_*.jsonl"), key=lambda p: (len(p.name), p.name))
@@ -223,6 +224,10 @@ def read_run_dir(runs_dir) -> list[dict]:
         missing = [key for key, _, _ in COMPARE_METRICS if key not in summary]
         if missing:
             raise ValueError(f"{fp}: summary record lacks {missing}")
+        bad = {key: summary[key] for key, _, _ in COMPARE_METRICS
+               if not (_real(summary[key]) and math.isfinite(summary[key]))}
+        if bad:
+            raise ValueError(f"{fp}: summary metrics must be finite numbers, got {bad}")
         docs.append({"records": records, "summary": summary})
     return docs
 

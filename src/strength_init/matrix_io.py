@@ -26,6 +26,8 @@ import re
 
 import numpy as np
 
+from .initializers import _int
+
 __all__ = [
     "validate_matrix",
     "save_matrix",
@@ -62,12 +64,6 @@ def validate_matrix(m, name: str = "matrix") -> np.ndarray:
     callers that mutate must copy.
     """
     return _checked(m, 2, name)
-
-
-def validate_conv(t, name: str = "conv tensor (w, h, z, o)") -> np.ndarray:
-    """Return `t` as a C-contiguous float64 (w, h, z, o) array, checked as
-    validate_matrix checks a matrix."""
-    return _checked(t, 4, name)
 
 
 def save_matrix(m, path) -> None:
@@ -128,20 +124,20 @@ def conv_to_2d(t) -> np.ndarray:
     """Reshape a (w, h, z, o) filter bank to a (w*h*z, o) weight matrix.
 
     Filter position (iw, ih, iz) maps to row ((iw*h) + ih)*z + iz, i.e.
-    w varies slowest. The inverse is conv_from_2d.
+    w varies slowest. The bank is checked as validate_matrix checks a
+    matrix. Both conv functions return a view of their input when it
+    already conforms; callers that mutate must copy.
     """
-    arr = validate_conv(t)
-    w, h, z, o = arr.shape
-    return arr.reshape(w * h * z, o).copy()
+    arr = _checked(t, 4, "conv tensor (w, h, z, o)")
+    return arr.reshape(-1, arr.shape[3])
 
 
 def conv_from_2d(m, filter_shape) -> np.ndarray:
-    """Inverse of conv_to_2d: rebuild (w, h, z, o) from a (w*h*z, o) matrix."""
-    w, h, z = (int(v) for v in filter_shape)
+    """Inverse of conv_to_2d: the (w, h, z, o) view of a (w*h*z, o) matrix."""
+    w, h, z = (_int(v, "filter shape") for v in filter_shape)
     arr = validate_matrix(m)
     if arr.shape[0] != w * h * z:
         raise ValueError(
             f"matrix has {arr.shape[0]} rows, filter shape {(w, h, z)} needs {w * h * z}"
         )
-    return arr.reshape(w, h, z, arr.shape[1]).copy()
-
+    return arr.reshape(w, h, z, arr.shape[1])

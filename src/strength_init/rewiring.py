@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initializers import InitSpec, _int, init
-from .matrix_io import validate_conv, validate_matrix
+from .matrix_io import conv_from_2d, conv_to_2d, validate_matrix
 from .rng import derive_stream
 from .strength import strengths
 
@@ -206,13 +206,8 @@ def pa_rewire(m, cfg: RewireConfig) -> np.ndarray:
 
 def pa_rewire_conv(t, cfg: RewireConfig) -> np.ndarray:
     """Rewire a (w, h, z, o) filter bank through its 2-D form (see conv_to_2d).
-
-    Both reshapes are views: of the validated, C-contiguous bank, which
-    pa_rewire only reads, and of pa_rewire's fresh output.
-    """
-    arr = validate_conv(t)
-    w, h, z, o = arr.shape
-    return pa_rewire(arr.reshape(w * h * z, o), cfg).reshape(arr.shape)
+    Both reshapes are views, and pa_rewire only reads the bank."""
+    return conv_from_2d(pa_rewire(conv_to_2d(t), cfg), np.shape(t)[:3])
 
 
 def variance_search(spec: InitSpec, k: int, mode: str, rng: np.random.Generator) -> np.ndarray:

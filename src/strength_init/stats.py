@@ -89,16 +89,10 @@ def welch_t_test(a, b) -> tuple[float, float]:
 
 def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Average ranks (1-based) of a pooled sample, plus tie-group sizes."""
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.size, dtype=np.float64)
-    sorted_vals = pooled[order]
-    # walk runs of equal values and assign each run its average rank
-    boundaries = np.flatnonzero(np.diff(sorted_vals) != 0.0) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [pooled.size]))
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + 1 + e)
-    return ranks, (ends - starts).astype(np.float64)
+    _, group, sizes = np.unique(pooled, return_inverse=True, return_counts=True)
+    # the groups come in ascending order: group g holds ranks ends-sizes+1 .. ends
+    ends = np.cumsum(sizes)
+    return (0.5 * (ends - sizes + 1 + ends))[group], sizes.astype(np.float64)
 
 
 def kruskal_wallis(a, b) -> tuple[float, float]:

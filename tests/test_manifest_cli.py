@@ -493,6 +493,15 @@ FILE_FAILURES = {
         "[1, 2]\n" + json.dumps(summary_record(1)) + "\n"
     ),
     "run-file-summary-lacks-a-metric": _compare_malformed(json.dumps(_NO_TEST_ACC) + "\n"),
+    "run-file-metric-is-a-string": _compare_malformed(
+        json.dumps({**summary_record(1), "epoch1_train_acc": "x"}) + "\n"
+    ),
+    "run-file-metric-is-a-bool": _compare_malformed(
+        json.dumps({**summary_record(1), "convergence_epoch": True}) + "\n"
+    ),
+    "run-file-metric-is-nan": _compare_malformed(
+        json.dumps({**summary_record(1), "test_acc": float("nan")}) + "\n"
+    ),
 }
 
 

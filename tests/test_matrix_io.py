@@ -8,7 +8,6 @@ from strength_init.matrix_io import (
     conv_to_2d,
     load_matrix,
     save_matrix,
-    validate_conv,
     validate_matrix,
 )
 from strength_init.rng import derive_stream
@@ -124,6 +123,7 @@ class TestConvReshape:
         t = rng.normal(size=(2, 4, 3, 5))
         back = conv_from_2d(conv_to_2d(t), (2, 4, 3))
         npt.assert_array_equal(back, t)
+        assert np.shares_memory(back, t)
 
     def test_entry_bijection(self, rng):
         t = rng.normal(size=(3, 2, 5, 4))
@@ -132,6 +132,10 @@ class TestConvReshape:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             conv_from_2d(np.zeros((5, 2)), (2, 2, 2))
+
+    def test_non_integer_filter_shape_rejected(self):
+        with pytest.raises(ValueError, match="filter shape: integers only"):
+            conv_from_2d(np.ones((4, 2)), (1.9, 2, 2))
 
 
 class TestValidate:
@@ -149,10 +153,10 @@ class TestValidate:
 
     def test_conv_checked_by_the_same_rules(self):
         with pytest.raises(ValueError, match="4-D"):
-            validate_conv(np.zeros((3, 3, 4)))
+            conv_to_2d(np.zeros((3, 3, 4)))
         with pytest.raises(ValueError, match="dims >= 1"):
-            validate_conv(np.zeros((3, 3, 0, 2)))
+            conv_to_2d(np.zeros((3, 3, 0, 2)))
         with pytest.raises(ValueError, match=r"conv tensor \(w, h, z, o\) has 2 non-finite entries"):
-            validate_conv(np.full((1, 1, 1, 2), np.inf))
+            conv_to_2d(np.full((1, 1, 1, 2), np.inf))
         bank = np.zeros((2, 2, 1, 3))
-        assert validate_conv(bank) is bank
+        assert np.shares_memory(conv_to_2d(bank), bank)

@@ -1,5 +1,6 @@
-"""The top-level export list is exactly what the README tour and the demos
-import from ``strength_init``; every other name comes from its module.
+"""Every public name has one import path, its module: the top level of
+``strength_init`` exports only ``__version__``, and a fresh import of it
+binds every module but ``cli``.
 
 The demos and the README's python blocks are parsed, not run; so are the
 README's ``strength-init`` command lines, against the CLI's own parser, and
@@ -12,9 +13,12 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +29,7 @@ from strength_init.manifest import ExperimentManifest
 from strength_init.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(strength_init.__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]
 
 
@@ -58,10 +63,39 @@ def test_imported_name_resolves(source, module, name):
     assert hasattr(importlib.import_module(module), name), f"{source}: {module}.{name}"
 
 
-def test_top_level_exports_are_what_the_tour_and_demos_import():
-    top = {name for _, module, name in IMPORTS if module == "strength_init"}
-    assert set(strength_init.__all__) - {"__version__"} == top
-    assert "__version__" in strength_init.__all__
+MODULES = sorted(m.name for m in pkgutil.iter_modules(strength_init.__path__))
+
+
+def test_top_level_exports_only_the_version():
+    assert strength_init.__all__ == ["__version__"]
+
+
+def test_top_level_imports_name_modules():
+    # the README, the demos, the tests and the benchmark import every other
+    # name from its module; `from strength_init import <module>` is allowed
+    paths = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    top = [
+        (path.name, alias.name)
+        for path in paths
+        for node in ast.walk(ast.parse(_python_source(path), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "strength_init"
+        for alias in node.names
+    ]
+    assert top, "no `from strength_init import ...` found to check"
+    assert [(src, name) for src, name in top if name not in MODULES] == []
+
+
+def test_fresh_import_binds_every_module_but_cli():
+    # inside this session other imports have bound every module already, so
+    # only a new interpreter shows what `import strength_init` alone binds
+    probe = "import strength_init as si; print(sorted(m for m in %r if hasattr(si, m)))" % MODULES
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == str([m for m in MODULES if m != "cli"])
 
 
 def _readme_commands():
@@ -133,7 +167,7 @@ def test_configuration_surface():
 
 def test_module_surface():
     # every module's public names in one list: adding or dropping one edits
-    # it (the top-level list is pinned to the tour and the demos above)
+    # it (the top-level list is pinned to the version above)
     surface = {
         m.name: getattr(importlib.import_module(f"strength_init.{m.name}"), "__all__", None)
         for m in pkgutil.iter_modules(strength_init.__path__)
