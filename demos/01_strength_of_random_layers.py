@@ -12,8 +12,9 @@ distribution toward zero without changing a single weight value.
 
 import numpy as np
 
-from strength_init.initializers import InitSpec, init
-from strength_init.rewiring import RewireConfig, pa_rewire
+from strength_init import initializers, rewiring
+from strength_init.initializers import InitSpec
+from strength_init.rewiring import RewireConfig
 from strength_init.rng import derive_stream
 from strength_init.strength import strength_stats, strengths
 
@@ -23,9 +24,9 @@ print(f"{'method':18s} {'weight var':>12s} {'strength var':>13s} {'max|s| base':
 
 for method in ("kaiming-uniform", "kaiming-normal", "truncated-normal", "orthogonal"):
     stream = derive_stream(42, 0, 0)
-    w = init(InitSpec(method, n, n), stream)
+    w = initializers.init(InitSpec(method, n, n), stream)
     base = strength_stats(w, "input")
-    rewired = pa_rewire(w, RewireConfig(rng=stream, passes="bidirectional"))
+    rewired = rewiring.pa_rewire(w, RewireConfig(rng=stream, passes="bidirectional"))
     after = strength_stats(rewired, "input")
     print(
         f"{method:18s} {w.var():12.6f} {base.variance:13.4f} "
@@ -34,8 +35,8 @@ for method in ("kaiming-uniform", "kaiming-normal", "truncated-normal", "orthogo
 
 print("\nthe weights themselves are untouched: same multiset before/after")
 stream = derive_stream(42, 0, 0)
-w = init(InitSpec("kaiming-uniform", n, n), stream)
-r = pa_rewire(w, RewireConfig(rng=stream))
+w = initializers.init(InitSpec("kaiming-uniform", n, n), stream)
+r = rewiring.pa_rewire(w, RewireConfig(rng=stream))
 print("multiset preserved:", np.array_equal(np.sort(w, axis=None), np.sort(r, axis=None)))
 print("strength var ratio (rewired/base):",
       strengths(r, "input").var() / strengths(w, "input").var())

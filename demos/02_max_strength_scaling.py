@@ -11,10 +11,11 @@ max_strength_scaling.csv to the current working directory).
 
 from pathlib import Path
 
-from strength_init.rewiring import max_strength_scaling, sweep_rows_to_csv
+from strength_init import rewiring
+from strength_init.rewiring import sweep_rows_to_csv
 from strength_init.rng import derive_stream
 
-rows = max_strength_scaling(
+rows = rewiring.max_strength_scaling(
     "kaiming-uniform",
     sizes=[64, 128, 256, 512, 1024],
     trials=30,

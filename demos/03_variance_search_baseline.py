@@ -11,7 +11,8 @@ effect comes from variance alone.
 
 import numpy as np
 
-from strength_init.initializers import InitSpec, init
+from strength_init import initializers
+from strength_init.initializers import InitSpec
 from strength_init.rewiring import variance_search
 from strength_init.rng import derive_stream
 from strength_init.strength import strengths
@@ -22,7 +23,7 @@ reps = 30
 
 plain, vmin, vmax = [], [], []
 for rep in range(reps):
-    plain.append(strengths(init(spec, derive_stream(1, 0, rep)), "input").var())
+    plain.append(strengths(initializers.init(spec, derive_stream(1, 0, rep)), "input").var())
     vmin.append(strengths(variance_search(spec, K, "min", derive_stream(2, 0, rep)), "input").var())
     vmax.append(strengths(variance_search(spec, K, "max", derive_stream(3, 0, rep)), "input").var())
 

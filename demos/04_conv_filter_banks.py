@@ -10,7 +10,8 @@ rewiring) apply unchanged, and the reshape is a bijection on entries.
 
 import numpy as np
 
-from strength_init.initializers import InitSpec, init
+from strength_init import initializers
+from strength_init.initializers import InitSpec
 from strength_init.matrix_io import conv_from_2d, conv_to_2d
 from strength_init.rewiring import RewireConfig, pa_rewire_conv
 from strength_init.rng import derive_stream
@@ -18,7 +19,7 @@ from strength_init.strength import strength_stats
 
 w, h, z, o = 3, 3, 16, 32
 stream = derive_stream(11, 0, 0)
-flat = init(InitSpec("kaiming-normal", w * h * z, o), stream)
+flat = initializers.init(InitSpec("kaiming-normal", w * h * z, o), stream)
 bank = conv_from_2d(flat, (w, h, z))
 print(f"filter bank {bank.shape} -> matrix {conv_to_2d(bank).shape}")
 
