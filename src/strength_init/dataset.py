@@ -4,12 +4,11 @@ The IDX container stores big-endian 32-bit header fields followed by a
 uint8 payload: the magic number, whose low byte is the rank, then one
 field per dimension. Images carry magic 0x00000803 and (count, rows,
 cols), labels carry magic 0x00000801 and (count,). Files may be plain or
-gzip-compressed (detected by the .gz suffix). Pixels are flattened;
-load_named_pixels keeps them uint8, and pixels_to_float is the one rule
-that scales them to float64 in [0, 1]: scale_pixels (and so
-load_named_dataset) applies it to a whole dataset, while an experiment
-keeps its splits uint8 and training applies it one batch or evaluation
-chunk at a time. Labels stay integer class ids.
+gzip-compressed (detected by the .gz suffix). Pixels are flattened and
+load_named_dataset keeps them uint8. pixels_to_float is the one rule
+that scales them to float64 in [0, 1]: training applies it one batch or
+evaluation chunk at a time, so no float64 copy of a dataset is held.
+Labels stay integer class ids.
 
 A file that breaks the format (a wrong magic, a header or payload of the
 wrong length, a .gz that is not gzip, is cut short or is corrupt) and an
@@ -46,10 +45,8 @@ __all__ = [
     "write_idx_labels",
     "split",
     "dataset_paths",
-    "load_named_pixels",
     "load_named_dataset",
     "pixels_to_float",
-    "scale_pixels",
 ]
 
 IMAGE_MAGIC = 0x00000803
@@ -81,10 +78,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return int(self.features.shape[0])
-
-    def subset(self, idx) -> "Dataset":
-        idx = np.asarray(idx, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx])
 
 
 def _open(path, mode: str):
@@ -166,11 +159,6 @@ def pixels_to_float(pixels: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return np.divide(pixels, 255.0, out=out, dtype=np.float64)
 
 
-def scale_pixels(dataset: Dataset) -> Dataset:
-    """The same samples with uint8 pixels scaled to float64 in [0, 1]."""
-    return Dataset(pixels_to_float(dataset.features), dataset.labels)
-
-
 def split(dataset: Dataset, test_size: int, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Partition a dataset into (train, validation) with |validation| = test_size.
 
@@ -184,9 +172,10 @@ def split(dataset: Dataset, test_size: int, rng: np.random.Generator) -> tuple[D
     if test_size >= dataset.n:
         raise ValueError(f"test_size {test_size} must be < dataset size {dataset.n}")
     perm = rng.permutation(dataset.n)
+    x, y = dataset.features, dataset.labels
     val_idx = np.sort(perm[:test_size])
     train_idx = np.sort(perm[test_size:])
-    return dataset.subset(train_idx), dataset.subset(val_idx)
+    return Dataset(x[train_idx], y[train_idx]), Dataset(x[val_idx], y[val_idx])
 
 
 def dataset_paths(data_dir, name: str) -> dict[str, Path]:
@@ -208,15 +197,9 @@ def dataset_paths(data_dir, name: str) -> dict[str, Path]:
     return out
 
 
-def load_named_pixels(data_dir, name: str) -> tuple[Dataset, Dataset]:
+def load_named_dataset(data_dir, name: str) -> tuple[Dataset, Dataset]:
     """Load (train, test) for a named dataset with flat uint8 pixel features."""
     paths = dataset_paths(data_dir, name)
     train = _load_idx_pixels(paths["train_images"], paths["train_labels"])
     test = _load_idx_pixels(paths["test_images"], paths["test_labels"])
     return train, test
-
-
-def load_named_dataset(data_dir, name: str) -> tuple[Dataset, Dataset]:
-    """Load (train, test) for a named dataset from IDX files on disk."""
-    train, test = load_named_pixels(data_dir, name)
-    return scale_pixels(train), scale_pixels(test)

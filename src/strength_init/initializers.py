@@ -47,6 +47,16 @@ def _int(value, what: str) -> int:
     raise ValueError(f"{what}: integers only, got {value!r}")
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of plain ints, each read by _int; a value that
+    is not iterable, such as 3, raises ValueError naming `what`."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ValueError(f"{what}: a sequence of integers, got {values!r}") from None
+    return tuple(_int(v, what) for v in items)
+
+
 def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 

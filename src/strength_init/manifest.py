@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DATASET_NAMES, load_named_pixels, split
-from .initializers import _int, _real
+from .dataset import DATASET_NAMES, load_named_dataset, split
+from .initializers import _int, _ints, _real
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import COMPARE_METRICS, compare, sample_std
 from .training import MlpArch, TrainConfig, train_population
@@ -61,7 +61,7 @@ class ExperimentManifest:
     def __post_init__(self):
         # stored as plain ints so to_json can write them; numpy integers
         # pass, 1.5 and true do not
-        object.__setattr__(self, "arch", tuple(_int(s, "manifest field arch") for s in self.arch))
+        object.__setattr__(self, "arch", _ints(self.arch, "manifest field arch"))
         for name in ("repetitions", "epochs", "batch_size", "global_seed", "jobs"):
             object.__setattr__(self, name, _int(getattr(self, name), f"manifest field {name}"))
         if not isinstance(self.out_dir, str):
@@ -97,11 +97,7 @@ class ExperimentManifest:
         missing = {"dataset", "arch", "out_dir"} - set(doc)
         if missing:
             raise ValueError(f"manifest missing required fields: {sorted(missing)}")
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            # a wrongly typed field, e.g. "arch": 784 or "repetitions": "ten"
-            raise ValueError(f"manifest field has the wrong type: {exc}") from exc
+        return cls(**doc)
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":
@@ -129,7 +125,7 @@ def _prepare_data(manifest: ExperimentManifest):
     chunk as it uses it, so no float64 copy of the pixels is held.
     """
     data_dir = resolve_data_dir(manifest.data_dir)
-    train_full, test = load_named_pixels(data_dir, manifest.dataset)
+    train_full, test = load_named_dataset(data_dir, manifest.dataset)
     split_gen = harness_generator(manifest.global_seed, SPLIT_DOMAIN)
     return (*split(train_full, test.n, split_gen), test)
 

@@ -26,7 +26,7 @@ import re
 
 import numpy as np
 
-from .initializers import _int
+from .initializers import _ints
 
 __all__ = [
     "validate_matrix",
@@ -56,14 +56,14 @@ def _checked(a, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
-def validate_matrix(m, name: str = "matrix") -> np.ndarray:
+def validate_matrix(m) -> np.ndarray:
     """Return `m` as a C-contiguous float64 2-D array, checking invariants.
 
     Raises ValueError on a bad rank or shape and on a NaN or Inf entry.
     The returned array may alias the input when it already conforms;
     callers that mutate must copy.
     """
-    return _checked(m, 2, name)
+    return _checked(m, 2, "matrix")
 
 
 def save_matrix(m, path) -> None:
@@ -134,7 +134,10 @@ def conv_to_2d(t) -> np.ndarray:
 
 def conv_from_2d(m, filter_shape) -> np.ndarray:
     """Inverse of conv_to_2d: the (w, h, z, o) view of a (w*h*z, o) matrix."""
-    w, h, z = (_int(v, "filter shape") for v in filter_shape)
+    shape = _ints(filter_shape, "filter shape")
+    if len(shape) != 3 or min(shape) < 1:
+        raise ValueError(f"filter shape must be 3 integers >= 1 (w, h, z), got {shape}")
+    w, h, z = shape
     arr = validate_matrix(m)
     if arr.shape[0] != w * h * z:
         raise ValueError(

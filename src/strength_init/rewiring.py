@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initializers import InitSpec, _int, init
+from .initializers import InitSpec, _int, _ints, init
 from .matrix_io import conv_from_2d, conv_to_2d, validate_matrix
 from .rng import derive_stream
 from .strength import strengths
@@ -232,9 +232,9 @@ def variance_search(spec: InitSpec, k: int, mode: str, rng: np.random.Generator)
     return best
 
 
-def _sizes(sizes) -> list[int]:
+def _sizes(sizes) -> tuple[int, ...]:
     """The layer sizes of a probe or sweep; 64.9 and True are refused, not truncated."""
-    sizes = [_int(n, "sizes") for n in sizes]
+    sizes = _ints(sizes, "sizes")
     if not sizes:
         raise ValueError("sizes must be nonempty")
     return sizes

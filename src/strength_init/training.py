@@ -31,14 +31,16 @@ and the best-epoch snapshot. A population stops with
 TrainingDivergedError at the first batch where any member's loss is
 non-finite, naming the lowest such repetition.
 
-Features may be float64 or uint8 pixels; pixels are scaled
-(dataset.pixels_to_float) one gathered batch or evaluation chunk at a
-time, with the same bits as scaling them all up front. Evaluations run
-chunks outer, members inner: each chunk of _EVAL_CHUNK (2048) rows is
-scaled once into one reused float64 buffer (12 MiB at 784 features) and
-every repetition runs its own forward pass on it. A member's loss is
-summed per chunk, so the chunk size is part of the bits of val_loss
-once a split has more than 2048 rows; accuracies are exact counts.
+Features may be float64 or uint8 pixels (as load_named_dataset returns
+them); pixels are scaled (dataset.pixels_to_float) one gathered batch or
+evaluation chunk at a time, with the same bits as scaling them all up
+front. evaluate takes a stacked population, so one model is a stack of
+one, and runs chunks outer, members inner: each chunk of _EVAL_CHUNK
+(2048) rows is scaled once into one reused float64 buffer (12 MiB at 784
+features) and every repetition runs its own forward pass on it. A
+member's loss is summed per chunk, so the chunk size is part of the bits
+of val_loss once a split has more than 2048 rows; accuracies are exact
+counts.
 
 Reproducibility: the package's outputs are bit-identical for a given
 seed on the same platform, with the same numpy/BLAS build and the same
@@ -57,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, pixels_to_float
-from .initializers import METHODS, InitSpec, _int, _real, init
+from .initializers import METHODS, InitSpec, _int, _ints, _real, init
 from .rewiring import RewireConfig, pa_rewire, variance_search
 from .rng import BATCH_ORDER_DOMAIN, derive_stream, harness_generator
 
@@ -85,7 +87,7 @@ class MlpArch:
     layer_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(_int(s, "layer sizes") for s in self.layer_sizes)
+        sizes = _ints(self.layer_sizes, "layer sizes")
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
             raise ValueError("an MLP needs at least input and output sizes")
@@ -296,32 +298,30 @@ def _float_rows(rows, out=None):
     return pixels_to_float(rows, out) if rows.dtype == np.uint8 else rows
 
 
-def _evaluate_members(members, features, labels, buf=None):
-    """(accuracy in percent, mean loss) of each (weights, biases) model.
+def evaluate(weights, biases, features, labels, buf=None):
+    """(accuracy in percent, mean loss) of each member of a population.
 
-    Each _EVAL_CHUNK rows are scaled once, into `buf` when given, and
-    every member runs its own forward pass on them; a member's sums add
-    up chunk by chunk, so the other members do not change its bits.
+    Weights are stacked (R, n_in, n_out) with biases (R, 1, n_out); one
+    model is a stack of one. Each _EVAL_CHUNK rows are scaled once, into
+    `buf` when given, and every member runs its own forward pass on them;
+    a member's sums add up chunk by chunk, so the other members do not
+    change its bits.
     """
+    n_pop = weights[0].shape[0]
     n = features.shape[0]
     chunk = _EVAL_CHUNK
-    correct = [0] * len(members)
-    loss_sum = [0.0] * len(members)
+    correct = [0] * n_pop
+    loss_sum = [0.0] * n_pop
     for start in range(0, n, chunk):
         rows = features[start : start + chunk]
         x = _float_rows(rows, None if buf is None else buf[: rows.shape[0]])
         y = labels[start : start + chunk]
-        for r, (weights, biases) in enumerate(members):
-            logits = _forward(weights, biases, x)
+        for r in range(n_pop):
+            logits = _forward([w[r] for w in weights], [b[r] for b in biases], x)
             loss, _ = _softmax_ce(logits, y)
             loss_sum[r] += float(loss) * x.shape[0]
             correct[r] += int(np.count_nonzero(logits.argmax(axis=1) == y))
     return [(100.0 * c / n, s / n) for c, s in zip(correct, loss_sum)]
-
-
-def evaluate(weights, biases, features, labels):
-    """Accuracy (percent) and mean loss of a model over a dataset."""
-    return _evaluate_members([(weights, biases)], features, labels)[0]
 
 
 # What every member of a population shares: the network, the schedule and
@@ -349,7 +349,7 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     as training the member alone, and every other step is elementwise or
     runs on the member's own contiguous slice, so each RunMetrics is
     bit-identical to training that config by itself, and uint8 pixels
-    give the same metrics as their scale_pixels copy.
+    give the same metrics as their pixels_to_float copy.
 
     Raises TrainingDivergedError at the first batch where any member's
     loss is non-finite, naming the lowest such repetition.
@@ -361,14 +361,21 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     for cfg in cfgs[1:]:
         if any(getattr(cfg, f) != getattr(head, f) for f in _SHARED_FIELDS):
             raise ValueError(f"population members must share {', '.join(_SHARED_FIELDS)}")
-    if val_ds.n < 1 or test_ds.n < 1:
-        raise ValueError("validation and test sets must be nonempty")
+    if min(train_ds.n, val_ds.n, test_ds.n) < 1:
+        raise ValueError("train, validation and test sets must be nonempty")
     sizes = head.arch.layer_sizes
     if train_ds.features.shape[1] != sizes[0]:
         raise ValueError(
             f"architecture expects {sizes[0]} input features, "
             f"dataset has {train_ds.features.shape[1]}"
         )
+    n_out = sizes[-1]
+    for name, ds in (("train", train_ds), ("validation", val_ds), ("test", test_ds)):
+        y = ds.labels  # a class id outside [0, n_out) would index past the logits
+        if y.ndim != 1 or y.dtype.kind not in "iu":
+            raise ValueError(f"{name} labels must be a 1-D integer array, got {y.dtype} {y.shape}")
+        if not 0 <= y.min() <= y.max() < n_out:
+            raise ValueError(f"{name} labels must lie in [0, {n_out}), found {y.min()}..{y.max()}")
     n_pop = len(cfgs)
     n_layers = head.arch.n_weight_layers
     weights = [np.empty((n_pop, sizes[l], sizes[l + 1])) for l in range(n_layers)]
@@ -384,9 +391,6 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     batch_gen = harness_generator(head.global_seed, BATCH_ORDER_DOMAIN)
 
     runs = [RunMetrics(repetition_index=cfg.repetition_index) for cfg in cfgs]
-    # per-member views; the updates below write the stacks in place
-    members = [([w[r] for w in weights], [b[r] for b in biases]) for r in range(n_pop)]
-    best_members = [([w[r] for w in best_w], [b[r] for b in best_b]) for r in range(n_pop)]
     # scaled pixel chunks of every evaluation; float features leave it untouched
     max_rows = max(ds.n for ds in (train_ds, val_ds, test_ds))
     eval_buf = np.empty((min(_EVAL_CHUNK, max_rows), sizes[0]))
@@ -426,8 +430,8 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
                 np.multiply(vel, lr, out=grad)
                 np.subtract(param, grad, out=param)
 
-        train_evals = _evaluate_members(members, x_train, y_train, eval_buf)
-        val_evals = _evaluate_members(members, val_ds.features, val_ds.labels, eval_buf)
+        train_evals = evaluate(weights, biases, x_train, y_train, eval_buf)
+        val_evals = evaluate(weights, biases, val_ds.features, val_ds.labels, eval_buf)
         for r, m in enumerate(runs):
             train_acc, _ = train_evals[r]
             val_acc, val_loss = val_evals[r]
@@ -442,7 +446,7 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
                     dst[r] = src[r]
                 m.convergence_epoch = epoch + 1
 
-    test_evals = _evaluate_members(best_members, test_ds.features, test_ds.labels, eval_buf)
+    test_evals = evaluate(best_w, best_b, test_ds.features, test_ds.labels, eval_buf)
     for m, (test_acc, _) in zip(runs, test_evals):
         m.test_acc = test_acc
     return runs

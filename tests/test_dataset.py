@@ -14,9 +14,9 @@ from strength_init.dataset import (
     _load_idx_pixels,
     dataset_paths,
     load_named_dataset,
+    pixels_to_float,
     read_idx_images,
     read_idx_labels,
-    scale_pixels,
     split,
     write_idx_images,
     write_idx_labels,
@@ -25,8 +25,9 @@ from strength_init.rng import derive_stream
 
 
 def load_idx(images_path, labels_path):
-    """An image/label IDX pair as flat [0, 1] features, as a named dataset loads it."""
-    return scale_pixels(_load_idx_pixels(images_path, labels_path))
+    """An image/label IDX pair as flat [0, 1] features, as training scales them."""
+    pixels = _load_idx_pixels(images_path, labels_path)
+    return Dataset(pixels_to_float(pixels.features), pixels.labels)
 
 
 @pytest.fixture
@@ -198,6 +199,8 @@ class TestNamedDataset:
         train, test = load_named_dataset(tmp_path, "mnist")
         assert train.n == 30
         assert test.n == 10
+        assert train.features.dtype == test.features.dtype == np.uint8
+        assert train.features.shape == (30, 16)
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -13,7 +13,7 @@ from helpers import broken_gzip, make_synthetic_mnist
 
 import strength_init
 from strength_init.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from strength_init.dataset import load_named_dataset, load_named_pixels, scale_pixels, split
+from strength_init.dataset import Dataset, load_named_dataset, pixels_to_float, split
 from strength_init.manifest import (
     _SCHEDULE,
     ExperimentManifest,
@@ -118,6 +118,7 @@ class TestManifest:
             ("momentum", 0.9),
             ("init_gain", 1.0),
             ("alpha", 0.05),
+            ("arch", 784),
         ],
     )
     def test_bad_field_rejected_at_load(self, tmp_path, field, value):
@@ -180,6 +181,32 @@ class TestManifest:
         ]:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
+    def test_data_and_evaluations_go_through_the_public_names(self, data_dir, tmp_path, monkeypatch):
+        plain = tmp_path / "plain"
+        run_manifest(tiny_manifest(data_dir, plain, treatment_rewire="pa"))
+        calls = {"load": 0, "evaluate": 0}
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(strength_init.manifest, "load_named_dataset",
+                            spy("load", strength_init.manifest.load_named_dataset))
+        monkeypatch.setattr(strength_init.training, "evaluate",
+                            spy("evaluate", strength_init.training.evaluate))
+        spied = tmp_path / "spied"
+        m = tiny_manifest(data_dir, spied, treatment_rewire="pa")
+        assert run_manifest(m) == 0
+        # per arm: train and validation after every epoch, test once
+        assert calls == {"load": 1, "evaluate": 2 * (2 * m.epochs + 1)}
+        rel_paths = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
+        assert rel_paths == sorted(p.relative_to(spied) for p in spied.rglob("*") if p.is_file())
+        for rel in rel_paths:
+            if rel.name != "manifest.json":
+                assert (plain / rel).read_bytes() == (spied / rel).read_bytes(), rel
+
     def test_jobs_other_than_one_rejected_at_load(self, tmp_path):
         # an arm trains as one population; there is no worker pool to size
         doc = {"dataset": "mnist", "arch": [4, 2], "out_dir": str(tmp_path / "out"),
@@ -224,7 +251,7 @@ class TestManifest:
         finally:
             tracemalloc.stop()
         # the parts are the uint8 split of the pixels, byte for byte
-        train_pixels, test_pixels = load_named_pixels(root, "mnist")
+        train_pixels, test_pixels = load_named_dataset(root, "mnist")
         split_gen = harness_generator(m.global_seed, SPLIT_DOMAIN)
         pixel_parts = (*split(train_pixels, test_pixels.n, split_gen), test_pixels)
         for got, want in zip(parts, pixel_parts, strict=True):
@@ -232,14 +259,16 @@ class TestManifest:
             assert got.labels.dtype == want.labels.dtype == np.int64
             assert got.features.tobytes() == want.features.tobytes()
             assert got.labels.tobytes() == want.labels.tobytes()
-        # scaling a part gives the bits of splitting the scaled-on-load set
-        train_full, test = load_named_dataset(root, "mnist")
+        # scaling a part gives the bits of splitting the scaled set
+        train_full, test = (
+            Dataset(pixels_to_float(d.features), d.labels) for d in (train_pixels, test_pixels)
+        )
         split_gen = harness_generator(m.global_seed, SPLIT_DOMAIN)
         for got, want in zip(parts, (*split(train_full, test.n, split_gen), test), strict=True):
-            scaled = scale_pixels(got)
-            assert scaled.features.dtype == want.features.dtype == np.float64
-            assert scaled.features.tobytes() == want.features.tobytes()
-            assert np.array_equal(scaled.labels, want.labels)
+            scaled = pixels_to_float(got.features)
+            assert scaled.dtype == want.features.dtype == np.float64
+            assert scaled.tobytes() == want.features.tobytes()
+            assert np.array_equal(got.labels, want.labels)
         # no float64 copy: at most two uint8 copies of the pixels (a file's
         # payload and its array, or the full training set and its split)
         # and two of the int64 labels are held at once
@@ -469,6 +498,18 @@ def _run_on_broken_gz(how):
     return case
 
 
+def _run_on_label_out_of_range(tmp_path):
+    # class 12 under an arch ending in 10 would index past the logits
+    data = make_synthetic_mnist(tmp_path / "data")
+    labels = data / "mnist" / "t10k-labels-idx1-ubyte"
+    raw = bytearray(labels.read_bytes())
+    raw[-1] = 12
+    labels.write_bytes(bytes(raw))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(tiny_manifest(data, tmp_path / "out").to_json())
+    return ["run", "--manifest", str(mpath)], "test labels must lie in [0, 10)"
+
+
 def _compare_malformed(rep_001):
     def case(tmp_path):
         base = write_run_dir(tmp_path / "base")
@@ -502,6 +543,7 @@ FILE_FAILURES = {
     "run-file-metric-is-nan": _compare_malformed(
         json.dumps({**summary_record(1), "test_acc": float("nan")}) + "\n"
     ),
+    "run-label-out-of-range": _run_on_label_out_of_range,
 }
 
 

@@ -137,6 +137,13 @@ class TestConvReshape:
         with pytest.raises(ValueError, match="filter shape: integers only"):
             conv_from_2d(np.ones((4, 2)), (1.9, 2, 2))
 
+    @pytest.mark.parametrize("shape", [3, (2, 2), (1, 2, 2, 2), (2, -2, -1)])
+    def test_filter_shape_needs_three_positive_integers(self, shape):
+        # 3 used to raise TypeError, (2, 2) an unpacking error that did not
+        # name the shape, and (2, -2, -1) reached reshape
+        with pytest.raises(ValueError, match="filter shape"):
+            conv_from_2d(np.ones((4, 2)), shape)
+
 
 class TestValidate:
     def test_rejects_1d(self):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from strength_init import training
-from strength_init.dataset import Dataset, scale_pixels, split
+from strength_init.dataset import Dataset, pixels_to_float, split
 from strength_init.rng import BATCH_ORDER_DOMAIN, derive_stream, harness_generator
 from strength_init.training import (
     MlpArch,
@@ -240,7 +240,7 @@ def test_population_divergence_names_lowest_repetition(monkeypatch, splits):
 @pytest.mark.parametrize("eval_chunk", [2048, 7])
 def test_pixels_train_like_their_scaled_copy(monkeypatch, eval_chunk):
     # uint8 features are scaled one batch and one evaluation chunk at a
-    # time; the metrics must equal those of training on scale_pixels of
+    # time; the metrics must equal those of training on pixels_to_float of
     # them. A 7-row chunk ends each split on a partial slice of the buffer.
     gen = np.random.default_rng(5)
     labels = gen.integers(0, 5, size=410).astype(np.int64)
@@ -251,7 +251,7 @@ def test_pixels_train_like_their_scaled_copy(monkeypatch, eval_chunk):
     monkeypatch.setattr(training, "_EVAL_CHUNK", eval_chunk)
     cfgs = _configs(3, 3, ["none", "pa", "var-max:3"])
     got = train_population(cfgs, *parts)
-    want = train_population(cfgs, *(scale_pixels(p) for p in parts))
+    want = train_population(cfgs, *(Dataset(pixels_to_float(p.features), p.labels) for p in parts))
     assert [m.__dict__ for m in got] == [m.__dict__ for m in want]
     assert got[0].train_acc[-1] > 20.0  # the task is learned, not a constant
 

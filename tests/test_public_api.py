@@ -177,7 +177,7 @@ def test_module_surface():
         "dataset": [
             "IMAGE_MAGIC", "LABEL_MAGIC", "Dataset", "read_idx_images", "read_idx_labels",
             "write_idx_images", "write_idx_labels", "split", "dataset_paths",
-            "load_named_pixels", "load_named_dataset", "pixels_to_float", "scale_pixels",
+            "load_named_dataset", "pixels_to_float",
         ],
         "initializers": ["METHODS", "InitSpec", "init"],
         "manifest": [

@@ -343,7 +343,7 @@ class TestCostProbe:
         with pytest.raises(ValueError, match="reps"):
             rewire_cost_probe([64], reps=True)
 
-    @pytest.mark.parametrize("sizes", [[64.9, 128], [True, 128], [], ["64"]])
+    @pytest.mark.parametrize("sizes", [[64.9, 128], [True, 128], [], ["64"], 64])
     def test_sizes_must_be_integers(self, sizes):
         # [64.9, 128] used to time n=64
         with pytest.raises(ValueError, match="sizes"):

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from strength_init import training
-from strength_init.dataset import Dataset, scale_pixels, split
+from strength_init.dataset import Dataset, pixels_to_float, split
 from strength_init.rng import derive_stream
 from strength_init.training import (
     MlpArch,
@@ -223,36 +223,67 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(toy_config(), train_ds, empty, test_ds)
 
+    def test_empty_training_set_rejected(self, toy_splits):
+        # used to raise ZeroDivisionError in the first evaluation
+        _, val_ds, test_ds = toy_splits
+        empty = Dataset(np.zeros((0, 12)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="nonempty"):
+            train(toy_config(), empty, val_ds, test_ds)
+
     def test_feature_width_mismatch(self, toy_splits):
         cfg = toy_config(arch=MlpArch((13, 8, 6)))
         with pytest.raises(ValueError, match="features"):
             train(cfg, *toy_splits)
 
+    @pytest.mark.parametrize("part, name", [(0, "train"), (1, "validation"), (2, "test")])
+    @pytest.mark.parametrize(
+        "relabel",
+        [lambda y: np.where(y == y[0], 6, y), lambda y: y - 1, lambda y: y.astype(np.float64),
+         lambda y: y[:, None]],
+        ids=["class-6-of-6", "negative", "float", "2-D"],
+    )
+    def test_bad_labels_refused_before_training(self, toy_splits, part, name, relabel):
+        # 6 used to raise IndexError in _softmax_ce; -1 trained silently on class 5
+        parts = list(toy_splits)
+        parts[part] = Dataset(parts[part].features, relabel(parts[part].labels))
+        with pytest.raises(ValueError, match=f"^{name} labels must"):
+            train(toy_config(), *parts)
+
 
 class TestEvaluate:
     def test_perfect_predictor(self):
-        # a weight matrix that copies the one-hot feature onto the logits
+        # a weight matrix that copies the one-hot feature onto the logits,
+        # as a population of one
         feats = np.eye(4)
         labels = np.arange(4, dtype=np.int64)
-        acc, loss = evaluate([np.eye(4) * 10.0], [np.zeros(4)], feats, labels)
+        [(acc, loss)] = evaluate([np.eye(4)[None] * 10.0], [np.zeros((1, 1, 4))], feats, labels)
         assert acc == 100.0
         assert loss < 1e-3
+
+    def test_members_do_not_change_each_others_bits(self, rng):
+        feats = rng.uniform(size=(50, 6))
+        labels = rng.integers(0, 3, size=50)
+        ws = [rng.normal(size=(3, 6, 5)), rng.normal(size=(3, 5, 3))]
+        bs = [rng.normal(size=(3, 1, 5)), rng.normal(size=(3, 1, 3))]
+        alone = [evaluate([w[r : r + 1] for w in ws], [b[r : r + 1] for b in bs], feats, labels)[0]
+                 for r in range(3)]
+        assert evaluate(ws, bs, feats, labels) == alone
 
     def test_chunking_invariant(self, rng, monkeypatch):
         feats = rng.uniform(size=(100, 6))
         labels = rng.integers(0, 3, size=100)
-        ws = [rng.normal(size=(6, 3))]
-        bs = [np.zeros(3)]
+        ws = [rng.normal(size=(1, 6, 3))]
+        bs = [np.zeros((1, 1, 3))]
         monkeypatch.setattr(training, "_EVAL_CHUNK", 7)
-        a1 = evaluate(ws, bs, feats, labels)
+        [a1] = evaluate(ws, bs, feats, labels)
         monkeypatch.setattr(training, "_EVAL_CHUNK", 100)
-        a2 = evaluate(ws, bs, feats, labels)
+        [a2] = evaluate(ws, bs, feats, labels)
         assert a1[0] == a2[0]
         assert abs(a1[1] - a2[1]) < 1e-12
         # uint8 pixels, scaled chunk by chunk (100 rows in chunks of 7 end
         # on a 2-row tail), give the bits of evaluating their scaled copy
         pixels = rng.integers(0, 256, size=(100, 6), dtype=np.uint8)
-        scaled = scale_pixels(Dataset(pixels, labels)).features
+        scaled = pixels_to_float(pixels)
         for chunk in (7, 100):
             monkeypatch.setattr(training, "_EVAL_CHUNK", chunk)
             assert evaluate(ws, bs, pixels, labels) == evaluate(ws, bs, scaled, labels)
@@ -292,6 +323,11 @@ class TestConfigValidation:
     def test_bool_is_not_a_layer_size(self):
         with pytest.raises(ValueError, match="layer sizes"):
             MlpArch((784, True))
+
+    def test_layer_sizes_must_be_a_sequence(self):
+        # 5 used to raise TypeError: 'int' object is not iterable
+        with pytest.raises(ValueError, match="layer sizes: a sequence of integers"):
+            MlpArch(5)
 
     def test_summary_fields(self, toy_splits):
         metrics = train(toy_config(), *toy_splits)
