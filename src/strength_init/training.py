@@ -35,19 +35,23 @@ Features may be float64 or uint8 pixels (as load_named_dataset returns
 them); pixels are scaled (dataset.pixels_to_float) one gathered batch or
 evaluation chunk at a time, with the same bits as scaling them all up
 front. evaluate takes a stacked population, so one model is a stack of
-one, and runs chunks outer, members inner: each chunk of _EVAL_CHUNK
-(2048) rows is scaled once into one reused float64 buffer (12 MiB at 784
-features) and every repetition runs its own forward pass on it. A
-member's loss is summed per chunk, so the chunk size is part of the bits
-of val_loss once a split has more than 2048 rows; accuracies are exact
-counts.
+one, and runs chunks outer, members inner: each chunk of up to
+_EVAL_CHUNK (1024) rows is scaled once into one reused float64 buffer
+(6 MiB per population, which is per member group in a manifest run, at
+784 features) and every repetition runs its own forward pass on it. The
+chunk size is a fixed constant: a member's loss is summed per chunk, so
+it is part of the bits of val_loss once a split has more than 1024 rows;
+accuracies are exact counts.
 
 Reproducibility: the package's outputs are bit-identical for a given
-seed on the same platform, with the same numpy/BLAS build and the same
-BLAS thread count. On a 2-vCPU machine with OpenBLAS 0.3.31,
-OPENBLAS_NUM_THREADS=1 and =2 give different training digests. Rewiring
-and every initializer but orthogonal (whose QR goes through LAPACK, and
-whose 784x256 draw also changes with the thread count) use no BLAS.
+seed on the same platform and numpy/BLAS build. A manifest run holds
+OpenBLAS at one thread (see the manifest module), so its training
+digests do not depend on OPENBLAS_NUM_THREADS. Called directly,
+train_population's matmuls use whatever BLAS thread count is set: on a
+2-vCPU machine with OpenBLAS 0.3.31, 1 and 2 threads give different
+training digests. Rewiring and every initializer but orthogonal (whose
+QR goes through LAPACK, and whose 784x256 draw also changes with the
+thread count) use no BLAS.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ __all__ = [
     "evaluate",
 ]
 
-_EVAL_CHUNK = 2048
+_EVAL_CHUNK = 1024
 _MOMENTUM = 0.9
 
 

@@ -1,22 +1,34 @@
-"""Golden digests: SHA-256 of init and rewire outputs for fixed seeds.
+"""Golden digests: SHA-256 of init, rewire and training outputs for fixed seeds.
 
 The invariant tests elsewhere would not notice an optimization that moves a
 single weight; these pins do. Rewiring and every initializer but orthogonal
 call no BLAS, so their digests hold for a given numpy on a given platform.
 Orthogonal init goes through LAPACK's QR, which calls BLAS: with OpenBLAS
 0.3.31 a 784x256 draw changes bits between 1 and 2 threads, while the
-48x32 draw pinned here does not. A change that alters any digest changes
-the outputs of every seeded experiment.
+48x32 draw pinned here does not. Inside a manifest run, which holds
+OpenBLAS at one thread, the QR always runs at one thread.
+
+The training pin holds the files of one small two-arm manifest run. Its
+matmuls go through BLAS, so it holds for a given numpy/BLAS build on a
+given platform; because a run pins BLAS to one thread, it holds under any
+OPENBLAS_NUM_THREADS and any number of member groups. A change that
+alters any digest changes the outputs of every seeded experiment.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import weighted_draw_order
+from helpers import make_synthetic_mnist, weighted_draw_order
+import strength_init
 from strength_init import rewiring
+from strength_init.manifest import ExperimentManifest, run_manifest
 from strength_init.initializers import METHODS, InitSpec, init
 from strength_init.rewiring import RewireConfig, attachment_scores, pa_rewire, pa_rewire_conv
 from strength_init.rng import derive_stream
@@ -141,3 +153,63 @@ def test_bidirectional_matches_reference(rows, cols, block, monkeypatch):
     expected = reference_pass(reference_pass(m, ref).T, ref).T
     npt.assert_array_equal(out, expected)
     assert fast.random() == ref.random()
+
+
+# Every file of a two-arm run but manifest.json, which holds the paths.
+# Layer 1 has K = 784, where 1 and 2 BLAS threads give different GEMM
+# bits, and the train (1500 rows) and validation (1900 rows) splits each
+# span two evaluation chunks, so their sums cross a chunk boundary.
+TRAINING_DIGESTS = {
+    "baseline/curves.csv": "abb96ee50318072cab5f67a419acf31e207768be8aa9866e1418e484d0e0b950",
+    "baseline/gradients.csv": "8b75f11e4ee27a97eb4aa2dca055de075a736b9ca0ebde9b5daf5c9e6418d4f9",
+    "baseline/rep_000.jsonl": "f1a15e20d668a6a574cf02e87c6be393be779090595291f78cc01deda6bb522d",
+    "baseline/rep_001.jsonl": "721a74ad1d8cde4f946b81ad08b71049f45105e5067cc3ba029c9e7291a97c7b",
+    "baseline/rep_002.jsonl": "beb5e93c29573ebca7555cb1e31e54d4238f5e9437e897de3e2717112cd8f8e1",
+    "baseline/summary.json": "f9974bdbc374d1448cff744fa1953aa33ff7847a015940551d290cc6b47d45c5",
+    "comparison.json": "0337c19101bdb6959baab1e43f6d57418d8cf53637f5d35663b6e3269ec201f8",
+    "comparison.md": "423467a76bdacb5d10f9199a21e9fc0fa7054284d462c99977a3368006b72bef",
+    "treatment/curves.csv": "1e4729b24300a0ef02d433d5ed6cd8572fcc8e43a3db1075ae0b2ddf23c09fa9",
+    "treatment/gradients.csv": "8d921490fb6b9562a0b5f2012340de7154bad3da33925445cff17f6434962585",
+    "treatment/rep_000.jsonl": "181a28cfa35150910b182fb2f71adca9e67434433e057f6a4d2a846aa644ac02",
+    "treatment/rep_001.jsonl": "713f8c42304c3993fe26029683c526a5bb6a1a6985b2589ad8a92b8883e6b3fb",
+    "treatment/rep_002.jsonl": "83ff440af9c9105a141f49ee9f389e42bbd52871c8ff0e70c3efa75bf833d8c7",
+    "treatment/summary.json": "fc260ec3d00696fc6d2d79a9419d1279970143b703ad02b64647cb301103c19a",
+}
+
+
+@pytest.fixture(scope="module")
+def mnist_784(tmp_path_factory):
+    return make_synthetic_mnist(tmp_path_factory.mktemp("data"), n_train=3400, n_test=1900, side=28)
+
+
+def golden_manifest(data_dir, out_dir):
+    return ExperimentManifest(dataset="mnist", arch=(784, 32, 16, 10), out_dir=str(out_dir),
+                              data_dir=str(data_dir), baseline_rewire="none", treatment_rewire="pa",
+                              global_seed=SEED, repetitions=3, epochs=2, batch_size=64, lr0=0.05)
+
+
+def run_digests(out_dir: Path) -> dict[str, str]:
+    files = sorted(p for p in out_dir.rglob("*") if p.is_file() and p.name != "manifest.json")
+    return {p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_training_digest_at_any_blas_thread_count(mnist_784, tmp_path, blas_threads):
+    # the thread count is read when numpy loads, so each run is a process of its own
+    mpath = tmp_path / "m.json"
+    mpath.write_text(golden_manifest(mnist_784, tmp_path / "out").to_json())
+    src = Path(strength_init.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "strength_init.cli", "run", "--manifest", str(mpath)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert run_digests(tmp_path / "out") == TRAINING_DIGESTS
+
+
+@pytest.mark.parametrize("n_groups", [1, 2], ids=["1-group", "2-groups"])
+def test_training_digest_at_any_group_count(mnist_784, tmp_path, monkeypatch, n_groups):
+    # an arm trains one member group per core it may run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_groups)))
+    assert run_manifest(golden_manifest(mnist_784, tmp_path / "out")) == 0
+    assert run_digests(tmp_path / "out") == TRAINING_DIGESTS

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -181,14 +182,20 @@ class TestManifest:
         ]:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
-    def test_data_and_evaluations_go_through_the_public_names(self, data_dir, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("n_groups", [1, 2], ids=["1-group", "2-groups"])
+    def test_data_and_evaluations_go_through_the_public_names(self, data_dir, tmp_path, monkeypatch,
+                                                               n_groups):
         plain = tmp_path / "plain"
         run_manifest(tiny_manifest(data_dir, plain, treatment_rewire="pa"))
+        # an arm trains one member group per core it may run on
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_groups)))
         calls = {"load": 0, "evaluate": 0}
+        lock = threading.Lock()  # the groups' threads evaluate at once
 
         def spy(name, fn):
             def counted(*args, **kwargs):
-                calls[name] += 1
+                with lock:
+                    calls[name] += 1
                 return fn(*args, **kwargs)
             return counted
 
@@ -199,8 +206,8 @@ class TestManifest:
         spied = tmp_path / "spied"
         m = tiny_manifest(data_dir, spied, treatment_rewire="pa")
         assert run_manifest(m) == 0
-        # per arm: train and validation after every epoch, test once
-        assert calls == {"load": 1, "evaluate": 2 * (2 * m.epochs + 1)}
+        # per arm and group: train and validation after every epoch, test once
+        assert calls == {"load": 1, "evaluate": 2 * n_groups * (2 * m.epochs + 1)}
         rel_paths = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
         assert rel_paths == sorted(p.relative_to(spied) for p in spied.rglob("*") if p.is_file())
         for rel in rel_paths:

@@ -7,14 +7,17 @@ every field of every RunMetrics must match it bit for bit.
 """
 
 import math
+import os
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from strength_init import training
+from strength_init import manifest, training
 from strength_init.dataset import Dataset, pixels_to_float, split
+from strength_init.manifest import ExperimentManifest, _run_population
 from strength_init.rng import BATCH_ORDER_DOMAIN, derive_stream, harness_generator
 from strength_init.training import (
     MlpArch,
@@ -75,7 +78,7 @@ def _ref_backward(weights, pre, acts, probs, labels):
     return grads_w, grads_b
 
 
-def _ref_evaluate(weights, biases, features, labels, chunk=2048):
+def _ref_evaluate(weights, biases, features, labels, chunk=1024):
     n = features.shape[0]
     correct = 0
     loss_sum = 0.0
@@ -215,14 +218,82 @@ def test_members_must_share_schedule(splits):
         train_population([], *splits)
 
 
-def test_population_divergence_names_lowest_repetition(monkeypatch, splits):
-    # weights scaled by 1e150 make the first batch's logits overflow
-    # float64 for repetitions 1 and 2; repetition 0 trains normally
-    def build(cfg):
-        scale = 1e150 if cfg.repetition_index > 0 else 1.0
-        return [scale * w for w in build_layer_weights(cfg)]
+def _spy_groups(monkeypatch, cores):
+    """Let a manifest arm see `cores` CPUs; returns the list to which each
+    member group's repetition indices are appended as the group starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    groups = []
 
-    monkeypatch.setattr(training, "build_layer_weights", build)
+    def spy(cfgs, *data):
+        groups.append([cfg.repetition_index for cfg in cfgs])
+        return train_population(cfgs, *data)
+
+    monkeypatch.setattr(manifest, "train_population", spy)
+    return groups
+
+
+def test_more_groups_than_cores_write_the_bytes_of_one_group(monkeypatch, splits, tmp_path):
+    # five member groups of one repetition each, on five threads with a
+    # short switch interval: any state the groups shared would show in the
+    # files, which must equal those of the arm trained as one population
+    m = ExperimentManifest(dataset="mnist", arch=ARCHS[3], out_dir=str(tmp_path), epochs=3,
+                           batch_size=48, lr0=0.2, global_seed=13, repetitions=5)
+
+    def arm_files(cores):
+        groups = _spy_groups(monkeypatch, cores)
+        arm = tmp_path / f"arm{cores}"
+        _run_population(m, "var-max:3", arm, splits)
+        return sorted(groups), {p.name: p.read_bytes() for p in arm.iterdir()}
+
+    one_groups, one = arm_files(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        five_groups, five = arm_files(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (one_groups, five_groups) == ([[0, 1, 2, 3, 4]], [[0], [1], [2], [3], [4]])
+    assert len(one) == 5 + 3  # rep files, summary.json, curves.csv, gradients.csv
+    assert five == one
+
+
+def test_arm_holds_blas_at_one_thread_and_restores_it(monkeypatch, splits, tmp_path):
+    funcs = manifest._openblas_thread_functions()
+    if funcs is None:
+        pytest.skip("numpy's OpenBLAS thread functions are not found; arms train as one group")
+    get, set_ = funcs
+    seen = []
+
+    def spy(cfgs, *data):
+        seen.append(get())
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(manifest, "train_population", spy)
+    m = ExperimentManifest(dataset="mnist", arch=ARCHS[1], out_dir=str(tmp_path), repetitions=2)
+    old = get()
+    try:
+        set_(2)
+        with pytest.raises(RuntimeError, match="stop"):
+            _run_population(m, "none", tmp_path / "arm", splits)
+        after = get()
+    finally:
+        set_(old)
+    assert seen == [1] * min(2, len(os.sched_getaffinity(0)))
+    assert after == 2
+
+
+def _diverging(reps):
+    """build_layer_weights with the weights of `reps` scaled by 1e150, which
+    makes their first batch's logits overflow float64."""
+    def build(cfg):
+        scale = 1e150 if cfg.repetition_index in reps else 1.0
+        return [scale * w for w in build_layer_weights(cfg)]
+    return build
+
+
+def test_population_divergence_names_lowest_repetition(monkeypatch, splits, tmp_path):
+    # repetitions 1 and 2 diverge; repetition 0 trains normally
+    monkeypatch.setattr(training, "build_layer_weights", _diverging({1, 2}))
     cfgs = _configs(3, 3, "none")
     with pytest.raises(TrainingDivergedError) as exc:
         train_population(cfgs, *splits)
@@ -235,6 +306,21 @@ def test_population_divergence_names_lowest_repetition(monkeypatch, splits):
     assert (alone.value.epoch, alone.value.batch, alone.value.repetition) == (1, 1, 1)
     assert str(alone.value) == f"non-finite loss {alone.value.loss} at epoch 1, batch 1, repetition 1"
     assert train(cfgs[0], *splits).__dict__ == reference_train(cfgs[0], *splits).__dict__
+    # an arm in two member groups, repetitions (0, 2) and (1,), raises the
+    # same error once both groups stop: whether repetition 2 diverges at the
+    # same batch in the first group or the first group trains to the end
+    m = ExperimentManifest(dataset="mnist", arch=ARCHS[3], out_dir=str(tmp_path), epochs=3,
+                           batch_size=48, lr0=0.2, global_seed=13, repetitions=3)
+    assert [m.train_config("none", r) for r in range(3)] == cfgs
+    groups = _spy_groups(monkeypatch, 2)
+    for reps in ({1, 2}, {1}):
+        monkeypatch.setattr(training, "build_layer_weights", _diverging(reps))
+        groups.clear()
+        with pytest.raises(TrainingDivergedError) as grouped:
+            _run_population(m, "none", tmp_path / "arm", splits)
+        assert sorted(groups) == [[0, 2], [1]]
+        assert (grouped.value.epoch, grouped.value.batch, grouped.value.repetition) == (1, 1, 1)
+        assert not list((tmp_path / "arm").glob("rep_*.jsonl"))
 
 
 @pytest.mark.parametrize("eval_chunk", [2048, 7])
@@ -256,7 +342,7 @@ def test_pixels_train_like_their_scaled_copy(monkeypatch, eval_chunk):
     assert got[0].train_acc[-1] > 20.0  # the task is learned, not a constant
 
 
-def test_memory_is_weights_plus_a_few_chunks():
+def test_memory_is_weights_plus_a_few_chunks(monkeypatch, tmp_path):
     # MNIST-shaped uint8 splits, built before tracing: evaluation scales
     # _EVAL_CHUNK rows at a time into one reused buffer, so the peak is set
     # by the chunk, not by the size of a split
@@ -275,4 +361,18 @@ def test_memory_is_weights_plus_a_few_chunks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    # the same configs as a manifest arm in two member groups on two
+    # threads: each group holds its own evaluation buffer, under one bound
+    m = ExperimentManifest(dataset="mnist", arch=(784, 64, 64, 10), out_dir=str(tmp_path),
+                           epochs=1, global_seed=4, repetitions=4)
+    assert [m.train_config("none", r) for r in range(4)] == cfgs
+    groups = _spy_groups(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        _run_population(m, "none", tmp_path / "arm", parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(groups) == [[0, 2], [1, 3]]
     assert peak <= 32 * 2**20
