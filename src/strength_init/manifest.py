@@ -9,27 +9,16 @@ arm are declared, a statistical comparison report. Re-running the same
 manifest into a new out_dir reproduces every output byte for byte, under
 the conditions the training module's docstring gives.
 
-Each arm trains as n = min(R, cores) member groups, cores being the CPUs
-the process may run on: group g holds repetitions g, g + n, g + 2n, ...
-Each group is one lock-step population (training.train_population) on
-its own thread, the calling thread running the first, and OpenBLAS is
-held at one thread for the whole arm, so the cores run independent GEMMs
-side by side. As every GEMM runs at one thread, the outputs depend
-neither on n nor on OPENBLAS_NUM_THREADS. Where the OpenBLAS thread
-functions cannot be found, an arm trains as one group and BLAS keeps its
-threads.
+Each arm is one training.train_population call.
 The data stays uint8 pixels: both arms share one split, and the engine
 scales each batch and evaluation chunk as it uses it.
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -39,7 +28,7 @@ from .dataset import DATASET_NAMES, load_named_dataset, split
 from .initializers import _int, _ints, _real
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import COMPARE_METRICS, compare, sample_std
-from .training import MlpArch, RunMetrics, TrainConfig, TrainingDivergedError, train_population
+from .training import MlpArch, TrainConfig, train_population
 
 __all__ = ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir", "resolve_data_dir"]
 
@@ -140,79 +129,11 @@ def _prepare_data(manifest: ExperimentManifest):
     return (*split(train_full, test.n, split_gen), test)
 
 
-def _openblas_thread_functions():
-    """(get, set) for the thread count of the OpenBLAS that numpy ships in
-    numpy.libs, or None when no such library or symbol is found."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*"))
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):  # not loadable, or another build's symbols
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread, restoring its old count on exit; yields
-    whether it could be pinned (False leaves BLAS untouched)."""
-    funcs = _openblas_thread_functions()
-    if funcs is None:
-        yield False
-        return
-    get, set_ = funcs
-    old = get()
-    set_(1)
-    try:
-        yield True
-    finally:
-        set_(old)
-
-
-def _train_groups(groups, data) -> list[RunMetrics]:
-    """Train each group of configs as one population, every group at once.
-
-    The calling thread trains the first group and a daemon thread each
-    other one. Every group finishes before an error is raised: the first
-    error that is not a divergence, in group order, else the divergence
-    at the lowest (epoch, batch, repetition), which is what one population
-    of all the configs raises. An interrupt on the calling thread (Ctrl-C)
-    propagates at once, leaving the daemon threads to end with the process.
-    """
-    results = [None] * len(groups)
-    errors = [None] * len(groups)
-
-    def run(g):
-        try:
-            results[g] = train_population(groups[g], *data)
-        except Exception as exc:  # raised on the calling thread once every group is done
-            errors[g] = exc
-
-    threads = [threading.Thread(target=run, args=(g,), daemon=True) for g in range(1, len(groups))]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
-    failed = [e for e in errors if e is not None]
-    if failed:
-        faults = [e for e in failed if not isinstance(e, TrainingDivergedError)]
-        raise faults[0] if faults else min(failed, key=lambda e: (e.epoch, e.batch, e.repetition))
-    return sorted((m for runs in results for m in runs), key=lambda m: m.repetition_index)
-
-
 def _run_population(manifest: ExperimentManifest, rewire: str, arm_dir: Path, data) -> list[dict]:
-    """Train one arm as one member group per core and write its files."""
+    """Train one arm as one population and write its files."""
     arm_dir.mkdir(parents=True, exist_ok=True)
     cfgs = [manifest.train_config(rewire, r) for r in range(manifest.repetitions)]
-    with _one_blas_thread() as pinned:
-        n_groups = min(len(cfgs), len(os.sched_getaffinity(0))) if pinned else 1
-        runs = _train_groups([cfgs[g::n_groups] for g in range(n_groups)], data)
+    runs = train_population(cfgs, *data)
     summaries = []
     for metrics in runs:
         summary = metrics.summary()

@@ -27,38 +27,43 @@ GEMM per repetition as training it alone. Every other step is
 elementwise or runs on one repetition's contiguous slice, so a
 population's metrics are bit-identical to training each repetition by
 itself. The engine holds R copies each of the weights, the velocities
-and the best-epoch snapshot. A population stops with
-TrainingDivergedError at the first batch where any member's loss is
-non-finite, naming the lowest such repetition.
+and the best-epoch snapshot.
 
 Features may be float64 or uint8 pixels (as load_named_dataset returns
 them); pixels are scaled (dataset.pixels_to_float) one gathered batch or
 evaluation chunk at a time, with the same bits as scaling them all up
 front. evaluate takes a stacked population, so one model is a stack of
 one, and runs chunks outer, members inner: each chunk of up to
-_EVAL_CHUNK (1024) rows is scaled once into one reused float64 buffer
-(6 MiB per population, which is per member group in a manifest run, at
-784 features) and every repetition runs its own forward pass on it. The
-chunk size is a fixed constant: a member's loss is summed per chunk, so
-it is part of the bits of val_loss once a split has more than 1024 rows;
-accuracies are exact counts.
+_EVAL_CHUNK (1024) rows is scaled once into one float64 buffer per call
+(6 MiB at 784 features) and every repetition runs its own forward pass
+on it. The chunk size is a fixed constant: a member's loss is summed per
+chunk, so it is part of the bits of val_loss once a split has more than
+1024 rows; accuracies are exact counts.
 
 Reproducibility: the package's outputs are bit-identical for a given
-seed on the same platform and numpy/BLAS build. A manifest run holds
-OpenBLAS at one thread (see the manifest module), so its training
-digests do not depend on OPENBLAS_NUM_THREADS. Called directly,
-train_population's matmuls use whatever BLAS thread count is set: on a
-2-vCPU machine with OpenBLAS 0.3.31, 1 and 2 threads give different
-training digests. Rewiring and every initializer but orthogonal (whose
-QR goes through LAPACK, and whose 784x256 draw also changes with the
-thread count) use no BLAS.
+seed on the same platform and numpy/BLAS build. A population trains as
+n = min(R, cores) member groups, cores being the CPUs the process may
+run on: group g holds configs g, g + n, g + 2n, ... Each group is one
+lock-step population on its own thread, the calling thread running the
+first, and OpenBLAS is held at one thread for the whole call (concurrent
+calls take turns, as the count is process-wide), so the cores run
+independent GEMMs side by side and the outputs of train, train_population
+and a manifest run depend neither on n nor on OPENBLAS_NUM_THREADS.
+Where the OpenBLAS thread functions cannot be found, a population trains
+as one group and BLAS keeps its threads. Rewiring and every initializer
+but orthogonal (whose QR goes through LAPACK) use no BLAS.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import re
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -82,6 +87,9 @@ __all__ = [
 
 _EVAL_CHUNK = 1024
 _MOMENTUM = 0.9
+# Held while a population trains: the OpenBLAS thread count it pins is
+# process-wide, so a concurrent call would restore it under this one.
+_POPULATION_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -296,29 +304,24 @@ def _backward(weights, pre, acts, probs, labels):
     return grads_w, grads_b
 
 
-def _float_rows(rows, out=None):
-    """Rows ready to multiply: uint8 pixels scaled to float64 (into `out`
-    when given), float features as they are."""
-    return pixels_to_float(rows, out) if rows.dtype == np.uint8 else rows
-
-
-def evaluate(weights, biases, features, labels, buf=None):
+def evaluate(weights, biases, features, labels):
     """(accuracy in percent, mean loss) of each member of a population.
 
     Weights are stacked (R, n_in, n_out) with biases (R, 1, n_out); one
-    model is a stack of one. Each _EVAL_CHUNK rows are scaled once, into
-    `buf` when given, and every member runs its own forward pass on them;
-    a member's sums add up chunk by chunk, so the other members do not
-    change its bits.
+    model is a stack of one. Each _EVAL_CHUNK rows of uint8 pixels are
+    scaled once, into one buffer reused across chunks, and every member
+    runs its own forward pass on them; a member's sums add up chunk by
+    chunk, so the other members do not change its bits.
     """
     n_pop = weights[0].shape[0]
     n = features.shape[0]
     chunk = _EVAL_CHUNK
+    buf = np.empty((min(chunk, n), features.shape[1])) if features.dtype == np.uint8 else None
     correct = [0] * n_pop
     loss_sum = [0.0] * n_pop
     for start in range(0, n, chunk):
         rows = features[start : start + chunk]
-        x = _float_rows(rows, None if buf is None else buf[: rows.shape[0]])
+        x = rows if buf is None else pixels_to_float(rows, buf[: rows.shape[0]])
         y = labels[start : start + chunk]
         for r in range(n_pop):
             logits = _forward([w[r] for w in weights], [b[r] for b in biases], x)
@@ -353,10 +356,12 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     as training the member alone, and every other step is elementwise or
     runs on the member's own contiguous slice, so each RunMetrics is
     bit-identical to training that config by itself, and uint8 pixels
-    give the same metrics as their pixels_to_float copy.
+    give the same metrics as their pixels_to_float copy. Member groups
+    and the OpenBLAS pin (see the module docstring) change no bit.
 
-    Raises TrainingDivergedError at the first batch where any member's
-    loss is non-finite, naming the lowest such repetition.
+    Raises TrainingDivergedError once every group has stopped, naming the
+    first batch where any member's loss is non-finite and the lowest such
+    repetition.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -380,6 +385,71 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
             raise ValueError(f"{name} labels must be a 1-D integer array, got {y.dtype} {y.shape}")
         if not 0 <= y.min() <= y.max() < n_out:
             raise ValueError(f"{name} labels must lie in [0, {n_out}), found {y.min()}..{y.max()}")
+    with _POPULATION_LOCK, _one_blas_thread() as pinned:
+        n = min(len(cfgs), len(os.sched_getaffinity(0))) if pinned else 1
+        results, errors = [None] * n, [None] * n
+
+        def run(g):
+            try:
+                results[g] = _lockstep(cfgs[g::n], train_ds, val_ds, test_ds)
+            except Exception as exc:  # raised below, once every group is done
+                errors[g] = exc
+
+        # the calling thread trains group 0, so an interrupt (Ctrl-C)
+        # propagates at once and the daemon threads end with the process
+        threads = [threading.Thread(target=run, args=(g,), daemon=True) for g in range(1, n)]
+        for t in threads:
+            t.start()
+        run(0)
+        for t in threads:
+            t.join()
+    # the first error that is not a divergence, in group order, else the
+    # divergence at the lowest (epoch, batch, repetition), as in one group
+    failed = [e for e in errors if e is not None]
+    if failed:
+        faults = [e for e in failed if not isinstance(e, TrainingDivergedError)]
+        raise faults[0] if faults else min(failed, key=lambda e: (e.epoch, e.batch, e.repetition))
+    return [results[i % n][i // n] for i in range(len(cfgs))]
+
+
+def _openblas_thread_functions():
+    """(get, set) for the thread count of the OpenBLAS that numpy ships in
+    numpy.libs, or None when no such library or symbol is found."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*"))
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable, or another build's symbols
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, restoring its old count on exit; yields
+    whether it could be pinned (False leaves BLAS untouched)."""
+    funcs = _openblas_thread_functions()
+    if funcs is None:
+        yield False
+        return
+    get, set_ = funcs
+    old = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(old)
+
+
+def _lockstep(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset) -> list[RunMetrics]:
+    """Train one checked group of configs as one lock-step population."""
+    head = cfgs[0]
+    sizes = head.arch.layer_sizes
     n_pop = len(cfgs)
     n_layers = head.arch.n_weight_layers
     weights = [np.empty((n_pop, sizes[l], sizes[l + 1])) for l in range(n_layers)]
@@ -395,9 +465,6 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     batch_gen = harness_generator(head.global_seed, BATCH_ORDER_DOMAIN)
 
     runs = [RunMetrics(repetition_index=cfg.repetition_index) for cfg in cfgs]
-    # scaled pixel chunks of every evaluation; float features leave it untouched
-    max_rows = max(ds.n for ds in (train_ds, val_ds, test_ds))
-    eval_buf = np.empty((min(_EVAL_CHUNK, max_rows), sizes[0]))
 
     x_train, y_train = train_ds.features, train_ds.labels
     n = train_ds.n
@@ -409,7 +476,8 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
         n_batches = 0
         for batch_i, start in enumerate(range(0, n, head.batch_size)):
             idx = perm[start : start + head.batch_size]
-            xb, yb = _float_rows(x_train[idx]), y_train[idx]
+            xb, yb = x_train[idx], y_train[idx]
+            xb = pixels_to_float(xb) if xb.dtype == np.uint8 else xb
             # a diverging run overflows before the loss check catches it;
             # the check is the detector, so keep the overflow quiet
             with np.errstate(over="ignore", invalid="ignore"):
@@ -434,8 +502,8 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
                 np.multiply(vel, lr, out=grad)
                 np.subtract(param, grad, out=param)
 
-        train_evals = evaluate(weights, biases, x_train, y_train, eval_buf)
-        val_evals = evaluate(weights, biases, val_ds.features, val_ds.labels, eval_buf)
+        train_evals = evaluate(weights, biases, x_train, y_train)
+        val_evals = evaluate(weights, biases, val_ds.features, val_ds.labels)
         for r, m in enumerate(runs):
             train_acc, _ = train_evals[r]
             val_acc, val_loss = val_evals[r]
@@ -450,7 +518,7 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
                     dst[r] = src[r]
                 m.convergence_epoch = epoch + 1
 
-    test_evals = evaluate(best_w, best_b, test_ds.features, test_ds.labels, eval_buf)
+    test_evals = evaluate(best_w, best_b, test_ds.features, test_ds.labels)
     for m, (test_acc, _) in zip(runs, test_evals):
         m.test_acc = test_acc
     return runs

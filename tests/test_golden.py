@@ -5,13 +5,15 @@ single weight; these pins do. Rewiring and every initializer but orthogonal
 call no BLAS, so their digests hold for a given numpy on a given platform.
 Orthogonal init goes through LAPACK's QR, which calls BLAS: with OpenBLAS
 0.3.31 a 784x256 draw changes bits between 1 and 2 threads, while the
-48x32 draw pinned here does not. Inside a manifest run, which holds
-OpenBLAS at one thread, the QR always runs at one thread.
+48x32 draw pinned here does not. Inside training, which holds OpenBLAS
+at one thread, the QR always runs at one thread.
 
-The training pin holds the files of one small two-arm manifest run. Its
-matmuls go through BLAS, so it holds for a given numpy/BLAS build on a
-given platform; because a run pins BLAS to one thread, it holds under any
-OPENBLAS_NUM_THREADS and any number of member groups. A change that
+The training pins hold the files of one small two-arm manifest run and
+the metrics of a direct train_population call of its configs with
+orthogonal init. Their matmuls go through BLAS, so they hold for a given
+numpy/BLAS build on a given platform; because training pins BLAS to one
+thread, in a manifest run and in a direct call alike, they hold under
+any OPENBLAS_NUM_THREADS and any number of member groups. A change that
 alters any digest changes the outputs of every seeded experiment.
 """
 
@@ -19,6 +21,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -193,18 +196,43 @@ def run_digests(out_dir: Path) -> dict[str, str]:
     return {p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
 
 
-@pytest.mark.parametrize("blas_threads", [1, 2])
-def test_training_digest_at_any_blas_thread_count(mnist_784, tmp_path, blas_threads):
+# Prints the digest of the metrics of the manifest's baseline configs,
+# trained by one direct train_population call.
+DIRECT_SCRIPT = """
+import hashlib, json, sys
+from strength_init.manifest import ExperimentManifest, _prepare_data
+from strength_init.training import train_population
+m = ExperimentManifest.load(sys.argv[1])
+runs = train_population([m.train_config("none", r) for r in range(m.repetitions)], *_prepare_data(m))
+print(hashlib.sha256(json.dumps([r.__dict__ for r in runs]).encode()).hexdigest())
+"""
+DIRECT_DIGEST = "78e84c04fcebe9292e01e9da09e125767ef4a464598604afd9bd002c37113d4d"
+
+
+@pytest.mark.parametrize("entry, blas_threads", [
+    pytest.param("run", 1, id="1"),
+    pytest.param("run", 2, id="2"),
+    pytest.param("train_population", 1, id="train_population-1"),
+    pytest.param("train_population", 2, id="train_population-2"),
+])
+def test_training_digest_at_any_blas_thread_count(mnist_784, tmp_path, entry, blas_threads):
     # the thread count is read when numpy loads, so each run is a process of its own
+    m = golden_manifest(mnist_784, tmp_path / "out")
+    if entry == "train_population":
+        m = replace(m, init_method="orthogonal")
     mpath = tmp_path / "m.json"
-    mpath.write_text(golden_manifest(mnist_784, tmp_path / "out").to_json())
+    mpath.write_text(m.to_json())
     src = Path(strength_init.__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "strength_init.cli", "run", "--manifest", str(mpath)],
+    args = ["-m", "strength_init.cli", "run", "--manifest"] if entry == "run" else ["-c", DIRECT_SCRIPT]
+    proc = subprocess.run([sys.executable, *args, str(mpath)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert run_digests(tmp_path / "out") == TRAINING_DIGESTS
+    if entry == "run":
+        assert run_digests(tmp_path / "out") == TRAINING_DIGESTS
+    else:
+        assert proc.stdout.strip() == DIRECT_DIGEST
 
 
 @pytest.mark.parametrize("n_groups", [1, 2], ids=["1-group", "2-groups"])

@@ -6,16 +6,18 @@ evaluation, so the engine's shared helpers cannot hide a difference:
 every field of every RunMetrics must match it bit for bit.
 """
 
+import json
 import math
 import os
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from strength_init import manifest, training
+from strength_init import training
 from strength_init.dataset import Dataset, pixels_to_float, split
 from strength_init.manifest import ExperimentManifest, _run_population
 from strength_init.rng import BATCH_ORDER_DOMAIN, derive_stream, harness_generator
@@ -204,9 +206,14 @@ def test_population_matches_per_repetition_training(
         assert metrics.__dict__ == reference_train(cfg, *splits).__dict__
 
 
-def test_mixed_rewire_population(splits):
+def test_mixed_rewire_population(monkeypatch, splits):
     cfgs = _configs(3, 3, ["none", "pa", "var-max:3"])
     for cfg, metrics in zip(cfgs, train_population(cfgs, *splits)):
+        assert metrics.__dict__ == reference_train(cfg, *splits).__dict__
+    # in two member groups, results come back in the order of the configs
+    _spy_groups(monkeypatch, 2)
+    backwards = cfgs[::-1]
+    for cfg, metrics in zip(backwards, train_population(backwards, *splits), strict=True):
         assert metrics.__dict__ == reference_train(cfg, *splits).__dict__
 
 
@@ -218,67 +225,113 @@ def test_members_must_share_schedule(splits):
         train_population([], *splits)
 
 
+_LOCKSTEP = training._lockstep
+
+
 def _spy_groups(monkeypatch, cores):
-    """Let a manifest arm see `cores` CPUs; returns the list to which each
+    """Let a population see `cores` CPUs; returns the list to which each
     member group's repetition indices are appended as the group starts."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     groups = []
 
     def spy(cfgs, *data):
         groups.append([cfg.repetition_index for cfg in cfgs])
-        return train_population(cfgs, *data)
+        return _LOCKSTEP(cfgs, *data)
 
-    monkeypatch.setattr(manifest, "train_population", spy)
+    monkeypatch.setattr(training, "_lockstep", spy)
     return groups
 
 
-def test_more_groups_than_cores_write_the_bytes_of_one_group(monkeypatch, splits, tmp_path):
+def test_more_groups_than_cores_write_the_bytes_of_one_group(monkeypatch, splits):
     # five member groups of one repetition each, on five threads with a
     # short switch interval: any state the groups shared would show in the
-    # files, which must equal those of the arm trained as one population
-    m = ExperimentManifest(dataset="mnist", arch=ARCHS[3], out_dir=str(tmp_path), epochs=3,
-                           batch_size=48, lr0=0.2, global_seed=13, repetitions=5)
+    # metric files, which must equal those of one population
+    cfgs = _configs(5, 3, "var-max:3")
 
-    def arm_files(cores):
+    def files(cores):
         groups = _spy_groups(monkeypatch, cores)
-        arm = tmp_path / f"arm{cores}"
-        _run_population(m, "var-max:3", arm, splits)
-        return sorted(groups), {p.name: p.read_bytes() for p in arm.iterdir()}
+        runs = train_population(cfgs, *splits)
+        # the lines of each repetition's file, as a manifest arm writes them
+        return sorted(groups), [[json.dumps(rec) for rec in m.epoch_records() + [m.summary()]] for m in runs]
 
-    one_groups, one = arm_files(1)
+    one_groups, one = files(1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        five_groups, five = arm_files(8)
+        five_groups, five = files(8)
     finally:
         sys.setswitchinterval(interval)
     assert (one_groups, five_groups) == ([[0, 1, 2, 3, 4]], [[0], [1], [2], [3], [4]])
-    assert len(one) == 5 + 3  # rep files, summary.json, curves.csv, gradients.csv
+    assert len(one) == 5
     assert five == one
 
 
-def test_arm_holds_blas_at_one_thread_and_restores_it(monkeypatch, splits, tmp_path):
-    funcs = manifest._openblas_thread_functions()
+def _blas_threads():
+    funcs = training._openblas_thread_functions()
     if funcs is None:
-        pytest.skip("numpy's OpenBLAS thread functions are not found; arms train as one group")
-    get, set_ = funcs
+        pytest.skip("numpy's OpenBLAS thread functions are not found; populations train as one group")
+    return funcs
+
+
+def test_arm_holds_blas_at_one_thread_and_restores_it(monkeypatch, splits):
+    get, set_ = _blas_threads()
     seen = []
 
     def spy(cfgs, *data):
         seen.append(get())
         raise RuntimeError("stop")
 
-    monkeypatch.setattr(manifest, "train_population", spy)
-    m = ExperimentManifest(dataset="mnist", arch=ARCHS[1], out_dir=str(tmp_path), repetitions=2)
+    monkeypatch.setattr(training, "_lockstep", spy)
     old = get()
     try:
         set_(2)
         with pytest.raises(RuntimeError, match="stop"):
-            _run_population(m, "none", tmp_path / "arm", splits)
+            train_population(_configs(2, 1, "none"), *splits)
         after = get()
     finally:
         set_(old)
     assert seen == [1] * min(2, len(os.sched_getaffinity(0)))
+    assert after == 2
+
+
+def test_concurrent_populations_take_turns(monkeypatch, splits):
+    # the BLAS thread count is process-wide: a second population started
+    # while the first trains must wait for it, or the first would restore
+    # its old count under the second
+    get, set_ = _blas_threads()
+    entered, release = threading.Event(), threading.Event()
+    events = []
+
+    def spy(cfgs, *data):
+        rep = cfgs[0].repetition_index
+        events.append(("enter", rep, get()))
+        if rep == 0:
+            entered.set()
+            release.wait(timeout=10)
+        else:
+            release.set()  # without turns, the second call frees the first
+        events.append(("return", rep))
+        return [RunMetrics(repetition_index=cfg.repetition_index) for cfg in cfgs]
+
+    monkeypatch.setattr(training, "_lockstep", spy)
+    first_cfg, second_cfg = _configs(2, 1, "none")
+    old = get()
+    try:
+        set_(2)
+        first = threading.Thread(target=train_population, args=([first_cfg], *splits))
+        second = threading.Thread(target=train_population, args=([second_cfg], *splits))
+        first.start()
+        assert entered.wait(timeout=10)
+        second.start()
+        second.join(timeout=0.5)
+        release.set()
+        first.join(timeout=10)
+        second.join(timeout=10)
+        after = get()
+    finally:
+        set_(old)
+    assert not first.is_alive() and not second.is_alive()
+    assert events == [("enter", 0, 1), ("return", 0), ("enter", 1, 1), ("return", 1)]
     assert after == 2
 
 
@@ -306,21 +359,24 @@ def test_population_divergence_names_lowest_repetition(monkeypatch, splits, tmp_
     assert (alone.value.epoch, alone.value.batch, alone.value.repetition) == (1, 1, 1)
     assert str(alone.value) == f"non-finite loss {alone.value.loss} at epoch 1, batch 1, repetition 1"
     assert train(cfgs[0], *splits).__dict__ == reference_train(cfgs[0], *splits).__dict__
-    # an arm in two member groups, repetitions (0, 2) and (1,), raises the
-    # same error once both groups stop: whether repetition 2 diverges at the
-    # same batch in the first group or the first group trains to the end
-    m = ExperimentManifest(dataset="mnist", arch=ARCHS[3], out_dir=str(tmp_path), epochs=3,
-                           batch_size=48, lr0=0.2, global_seed=13, repetitions=3)
-    assert [m.train_config("none", r) for r in range(3)] == cfgs
+    # two member groups, repetitions (0, 2) and (1,), raise the same error
+    # once both groups stop: whether repetition 2 diverges at the same
+    # batch in the first group or the first group trains to the end
     groups = _spy_groups(monkeypatch, 2)
     for reps in ({1, 2}, {1}):
         monkeypatch.setattr(training, "build_layer_weights", _diverging(reps))
         groups.clear()
         with pytest.raises(TrainingDivergedError) as grouped:
-            _run_population(m, "none", tmp_path / "arm", splits)
+            train_population(cfgs, *splits)
         assert sorted(groups) == [[0, 2], [1]]
         assert (grouped.value.epoch, grouped.value.batch, grouped.value.repetition) == (1, 1, 1)
-        assert not list((tmp_path / "arm").glob("rep_*.jsonl"))
+    # a manifest arm that diverges writes no repetition file
+    m = ExperimentManifest(dataset="mnist", arch=ARCHS[3], out_dir=str(tmp_path), epochs=3,
+                           batch_size=48, lr0=0.2, global_seed=13, repetitions=3)
+    assert [m.train_config("none", r) for r in range(3)] == cfgs
+    with pytest.raises(TrainingDivergedError):
+        _run_population(m, "none", tmp_path / "arm", splits)
+    assert not list((tmp_path / "arm").glob("rep_*.jsonl"))
 
 
 @pytest.mark.parametrize("eval_chunk", [2048, 7])
@@ -342,7 +398,7 @@ def test_pixels_train_like_their_scaled_copy(monkeypatch, eval_chunk):
     assert got[0].train_acc[-1] > 20.0  # the task is learned, not a constant
 
 
-def test_memory_is_weights_plus_a_few_chunks(monkeypatch, tmp_path):
+def test_memory_is_weights_plus_a_few_chunks(monkeypatch):
     # MNIST-shaped uint8 splits, built before tracing: evaluation scales
     # _EVAL_CHUNK rows at a time into one reused buffer, so the peak is set
     # by the chunk, not by the size of a split
@@ -355,24 +411,15 @@ def test_memory_is_weights_plus_a_few_chunks(monkeypatch, tmp_path):
         TrainConfig(arch=MlpArch((784, 64, 64, 10)), epochs=1, global_seed=4, repetition_index=r)
         for r in range(4)
     ]
-    tracemalloc.start()
-    try:
-        train_population(cfgs, *parts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * 2**20
-    # the same configs as a manifest arm in two member groups on two
-    # threads: each group holds its own evaluation buffer, under one bound
-    m = ExperimentManifest(dataset="mnist", arch=(784, 64, 64, 10), out_dir=str(tmp_path),
-                           epochs=1, global_seed=4, repetitions=4)
-    assert [m.train_config("none", r) for r in range(4)] == cfgs
-    groups = _spy_groups(monkeypatch, 2)
-    tracemalloc.start()
-    try:
-        _run_population(m, "none", tmp_path / "arm", parts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sorted(groups) == [[0, 2], [1, 3]]
-    assert peak <= 32 * 2**20
+    # one population, then two member groups on two threads: each group
+    # holds its own evaluation buffer, under one bound
+    for cores, want in ((1, [[0, 1, 2, 3]]), (2, [[0, 2], [1, 3]])):
+        groups = _spy_groups(monkeypatch, cores)
+        tracemalloc.start()
+        try:
+            train_population(cfgs, *parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(groups) == want
+        assert peak <= 32 * 2**20
