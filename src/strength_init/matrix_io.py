@@ -13,6 +13,15 @@ WMAT is the repository's on-disk binary format: a single ASCII header line
 followed immediately by R*C*8 bytes of raw little-endian float64. The
 round trip is bit-exact, which the reproducibility checks rely on.
 
+Saving over an existing file rewrites it in place: the inode, the mode
+and any hard links stay, and nothing is fsynced. The file is never cut to
+zero length, because on ext4 (with its default auto_da_alloc) truncating
+a file to zero makes close() start writing it back, and the next save of
+the same path then waits for the disk. The first byte is zeroed before
+the payload is written and the header goes last, so a save cut short at
+any point leaves a file that load_matrix refuses. A target that is not a
+regular file, such as /dev/null or a pipe, is written straight through.
+
 A matrix of the wrong rank, an empty shape or a non-finite entry, and a
 file that breaks the format, are refused with ValueError; a failure of
 the file system itself surfaces as OSError.
@@ -23,6 +32,7 @@ from __future__ import annotations
 import io
 import os
 import re
+import stat
 
 import numpy as np
 
@@ -42,14 +52,19 @@ _HEADER_RE = re.compile(
 _MAX_HEADER_LEN = 128
 
 
-def _checked(a, ndim: int, name: str) -> np.ndarray:
+def _conform(a, ndim: int, name: str) -> np.ndarray:
     """`a` as a C-contiguous float64 array of rank `ndim` with every
-    dimension >= 1 and every entry finite; aliases `a` when it conforms."""
+    dimension >= 1; aliases `a` when it conforms."""
     arr = np.asarray(a, dtype=np.float64, order="C")
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got ndim={arr.ndim}")
     if min(arr.shape) < 1:
         raise ValueError(f"{name} must have all dims >= 1, got {arr.shape}")
+    return arr
+
+
+def _require_finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """`arr` itself, once every entry is checked to be finite."""
     if not np.isfinite(arr).all():
         bad = int(np.count_nonzero(~np.isfinite(arr)))
         raise ValueError(f"{name} has {bad} non-finite entries")
@@ -63,17 +78,34 @@ def validate_matrix(m) -> np.ndarray:
     The returned array may alias the input when it already conforms;
     callers that mutate must copy.
     """
-    return _checked(m, 2, "matrix")
+    return _require_finite(_conform(m, 2, "matrix"), "matrix")
+
+
+def _keep_contents(path, flags: int) -> int:
+    """Open as open() would for "wb", but without truncating the file."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def save_matrix(m, path) -> None:
-    """Write `m` to `path` in WMAT format (bit-exact round trip)."""
+    """Write `m` to `path` in WMAT format (bit-exact round trip).
+
+    An existing file is rewritten in place, never cut to zero length (see
+    the module docstring).
+    """
     arr = validate_matrix(m)
-    rows, cols = arr.shape
-    header = f"WMAT1 rows={rows} cols={cols} dtype=f64 order=row-major endian=little\n"
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        f.write(_bytes_view(arr.astype("<f8", copy=False)))
+    header = b"WMAT1 rows=%d cols=%d dtype=f64 order=row-major endian=little\n" % arr.shape
+    payload = _bytes_view(arr.astype("<f8", copy=False))
+    with open(path, "wb", opener=_keep_contents) as f:
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.write(header)
+            f.write(payload)
+            return
+        f.write(b"\0")  # breaks the magic until the header goes in last
+        f.seek(len(header))
+        f.write(payload)
+        f.truncate()
+        f.seek(0)
+        f.write(header)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -105,7 +137,8 @@ def load_matrix(path) -> np.ndarray:
                 f"{path}: expected {expected} payload bytes for shape "
                 f"({rows}, {cols}), found {found}"
             )
-    return _checked(arr, 2, f"{path}: payload")
+    name = f"{path}: payload"
+    return _require_finite(_conform(arr, 2, name), name)
 
 
 def _bytes_view(arr: np.ndarray) -> memoryview:
@@ -128,7 +161,8 @@ def conv_to_2d(t) -> np.ndarray:
     matrix. Both conv functions return a view of their input when it
     already conforms; callers that mutate must copy.
     """
-    arr = _checked(t, 4, "conv tensor (w, h, z, o)")
+    name = "conv tensor (w, h, z, o)"
+    arr = _require_finite(_conform(t, 4, name), name)
     return arr.reshape(-1, arr.shape[3])
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initializers import InitSpec, _int, _ints, init
-from .matrix_io import conv_from_2d, conv_to_2d, validate_matrix
+from .matrix_io import _conform, _require_finite, conv_from_2d, conv_to_2d
 from .rng import derive_stream
 from .strength import strengths
 
@@ -159,7 +159,8 @@ def _pass(src: np.ndarray, dst: np.ndarray, gen: np.random.Generator) -> None:
 
 
 def _check_score_bound(w: np.ndarray, passes: str) -> None:
-    """Reject weights whose exponential keys could overflow float64.
+    """Reject non-finite weights, then weights whose exponential keys
+    could overflow float64.
 
     A pass over an (n_in, n_out) matrix keeps |s| <= n_out * max|w|, so
     the unnormalized scores, each at least 1, sum to at most
@@ -169,9 +170,14 @@ def _check_score_bound(w: np.ndarray, passes: str) -> None:
     above that. Requiring 64 * S to be finite therefore keeps every score
     a normal float and every key finite, so the exponential race alone
     orders the draw. The bidirectional second pass runs on the transpose.
+    The entries are scanned for NaN and Inf only when max or min is not
+    finite, which any such entry makes them.
     """
     n_in, n_out = w.shape
-    amax = float(max(w.max(), -w.min()))
+    hi, lo = float(w.max()), float(w.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        _require_finite(w, "matrix")
+    amax = max(hi, -lo)
     shapes = [(n_in, n_out)]
     if passes == "bidirectional":
         shapes.append((n_out, n_in))
@@ -193,7 +199,7 @@ def pa_rewire(m, cfg: RewireConfig) -> np.ndarray:
     when the weights are so large that the exponential keys of the draw
     would overflow.
     """
-    w = validate_matrix(m)
+    w = _conform(m, 2, "matrix")
     _check_score_bound(w, cfg.passes)
     out = np.empty_like(w)
     # the input-side pass walks the columns of w, i.e. the rows of w.T

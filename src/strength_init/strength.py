@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .matrix_io import validate_matrix
+from .matrix_io import _conform, _require_finite
 
 __all__ = [
     "SIDES",
@@ -32,14 +32,18 @@ def strengths(m, side: str = "input") -> np.ndarray:
     """Strength vector of one side of a layer: row sums or column sums.
 
     numpy's fixed (pairwise, ascending-index) summation makes the result
-    reproducible for a given matrix.
+    reproducible for a given matrix. The matrix is checked as
+    validate_matrix checks it, but its entries are scanned only when a sum
+    is not finite: a NaN or Inf entry always makes its sums non-finite.
     """
-    arr = validate_matrix(m)
-    if side == "input":
-        return arr.sum(axis=1)
-    if side == "output":
-        return arr.sum(axis=0)
-    raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    arr = _conform(m, 2, "matrix")
+    if side not in SIDES:
+        _require_finite(arr, "matrix")  # a bad matrix is reported before a bad side
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    s = arr.sum(axis=1 if side == "input" else 0)
+    if not np.isfinite(s).all():
+        _require_finite(arr, "matrix")
+    return s
 
 
 @dataclass(frozen=True)

@@ -353,6 +353,31 @@ class TestCli:
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_init_to_stdout_pipe_emits_exactly_the_wmat_bytes(self, tmp_path):
+        args = ["init", "--method", "kaiming-normal", "--rows", "6", "--cols", "5", "--seed", "4"]
+        assert main(args + ["--out", str(tmp_path / "w.wmat")]) == EXIT_OK
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "strength_init.cli", *args, "--out", "/dev/stdout"],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+        header = b"WMAT1 rows=6 cols=5 dtype=f64 order=row-major endian=little\n"
+        assert proc.stdout == (tmp_path / "w.wmat").read_bytes()
+        assert proc.stdout.startswith(header) and len(proc.stdout) == len(header) + 6 * 5 * 8
+
+    def test_rewire_in_place_matches_a_new_file(self, tmp_path):
+        x, y = tmp_path / "x.wmat", tmp_path / "y.wmat"
+        init = ["init", "--method", "glorot-uniform", "--rows", "24", "--cols", "9", "--seed", "2"]
+        assert main(init + ["--out", str(x)]) == EXIT_OK
+        rewire = ["rewire", "--in", str(x), "--passes", "bidirectional", "--seed", "2"]
+        assert main(rewire + ["--out", str(y)]) == EXIT_OK
+        assert main(rewire + ["--out", str(x)]) == EXIT_OK
+        assert x.read_bytes() == y.read_bytes()
+
     def test_init_refuses_a_gain_its_method_ignores(self, tmp_path):
         out = tmp_path / "w.wmat"
         args = ["init", "--method", "kaiming-uniform", "--rows", "4", "--cols", "4", "--out", str(out)]

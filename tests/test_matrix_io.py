@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from strength_init import matrix_io
 from strength_init.initializers import InitSpec, init
 from strength_init.matrix_io import (
     conv_from_2d,
@@ -88,6 +91,78 @@ class TestWmatErrors:
         with pytest.raises(OSError) as exc:
             save_matrix(np.eye(2), target)
         assert "no_such_dir" in str(exc.value)
+
+
+class _PayloadWriteFails:
+    """A writable file whose writes of more than a header's length fail."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        if memoryview(data).nbytes > matrix_io._MAX_HEADER_LEN:
+            raise OSError(28, "No space left on device")
+        return self._f.write(data)
+
+
+class TestWmatOverwrite:
+    @pytest.mark.parametrize("old_shape, new_shape", [((4, 4), (2, 2)), ((2, 2), (10, 12))])
+    def test_overwrite_matches_a_fresh_save(self, tmp_path, old_shape, new_shape):
+        new = np.arange(np.prod(new_shape), dtype=np.float64).reshape(new_shape) - 1.5
+        path, fresh = tmp_path / "m.wmat", tmp_path / "fresh.wmat"
+        save_matrix(np.ones(old_shape), path)
+        save_matrix(new, path)
+        save_matrix(new, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        npt.assert_array_equal(load_matrix(path), new)
+
+    def test_inode_mode_and_hard_links_kept(self, tmp_path):
+        path, link = tmp_path / "m.wmat", tmp_path / "link.wmat"
+        save_matrix(np.eye(3), path)
+        os.chmod(path, 0o640)
+        os.link(path, link)
+        before = os.stat(path)
+        new = np.full((2, 5), 0.25)
+        save_matrix(new, path)
+        after = os.stat(path)
+        assert after.st_ino == before.st_ino
+        assert after.st_mode == before.st_mode
+        assert after.st_nlink == 2
+        assert link.read_bytes() == path.read_bytes()
+        npt.assert_array_equal(load_matrix(link), new)
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            save_matrix(np.eye(2), tmp_path / "m.wmat")
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "m.wmat").st_mode & 0o777 == 0o666 & ~0o027
+
+    def test_save_cut_short_over_old_file_is_refused_on_load(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.wmat"
+        save_matrix(np.ones((16, 16)), path)
+        real_open = open
+        monkeypatch.setattr(
+            matrix_io, "open", lambda *a, **k: _PayloadWriteFails(real_open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError, match="No space left"):
+            save_matrix(np.zeros((16, 16)), path)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=str(path)):
+            load_matrix(path)
+
+    def test_save_to_devnull(self):
+        save_matrix(np.eye(3), os.devnull)
 
 
 class TestConvReshape:

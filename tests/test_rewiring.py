@@ -146,6 +146,12 @@ class TestPaPass:
                 RewireConfig(rng=stream, passes="input-only"),
             )
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_non_finite_rejected_before_overflow(self, stream, bad):
+        m = np.array([[1e308, bad], [-1e308, 2.0]])
+        with pytest.raises(ValueError, match="matrix has 1 non-finite entries"):
+            pa_rewire(m, RewireConfig(rng=stream, passes="bidirectional"))
+
     def test_three_by_two_draw_order_distribution(self):
         # hand-traceable case: strengths after the seed column are
         # [1, 0, -1] giving scores [1/2, 1/3, 1/6]; the draw order is

@@ -31,6 +31,28 @@ class TestStrengths:
         assert abs(strengths(m, "input").sum() - total) < 1e-9
         assert abs(strengths(m, "output").sum() - total) < 1e-9
 
+    @pytest.mark.parametrize("side", ["input", "output"])
+    @pytest.mark.parametrize(
+        "bad, count",
+        [([np.nan], 1), ([np.inf], 1), ([-np.inf], 1), ([np.inf, -np.inf], 2), ([np.nan, np.inf], 2)],
+    )
+    def test_non_finite_entries_rejected(self, side, bad, count):
+        m = np.ones((4, 3))
+        m.flat[[1, 6][: len(bad)]] = bad
+        with pytest.raises(ValueError, match=f"matrix has {count} non-finite entries"):
+            strengths(m, side)
+
+    def test_non_finite_matrix_rejected_before_a_bad_side(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            strengths(np.array([[np.nan]]), "both")
+        with pytest.raises(ValueError, match="side must be one of"):
+            strengths(np.eye(2), "both")
+
+    def test_finite_entries_whose_sum_overflows_are_accepted(self):
+        with np.errstate(over="ignore"):
+            s = strengths(np.full((2, 2), 1e308), "input")
+        assert np.isposinf(s).all()
+
 
 class TestStats:
     def test_two_point_moments(self):
