@@ -11,14 +11,22 @@ scales:
     truncated-normal  kaiming-normal with |w| <= 3*sigma enforced by
                       rejection resampling (no variance rescaling)
     orthogonal        semi-orthogonal columns/rows scaled by `gain`
+
+Orthogonal's QR goes through LAPACK to BLAS, so it holds _one_blas_thread,
+the package's one BLAS pin: a draw is the same at any OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import numbers
 import operator
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -59,6 +67,57 @@ def _ints(values, what: str) -> tuple[int, ...]:
 
 def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+@functools.cache
+def _openblas_thread_functions():
+    """(get, set) for the thread count of the OpenBLAS that numpy ships in
+    numpy.libs, or None when no such library or symbol is found."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*"))
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable, or another build's symbols
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+# The OpenBLAS thread count is process-wide, so the pin is too: the holders
+# in the process, and the count the first of them found.
+_PIN_LOCK = threading.Lock()
+_pin_holders = 0
+_pin_saved = 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread; yields whether it could be pinned
+    (False leaves BLAS untouched). Holds may nest and overlap across
+    threads: the first holder saves the thread count and sets 1, and the
+    last restores it, so no holder sees the count change under it."""
+    global _pin_holders, _pin_saved
+    funcs = _openblas_thread_functions()
+    if funcs is None:
+        yield False
+        return
+    get, set_ = funcs
+    with _PIN_LOCK:
+        if _pin_holders == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_holders += 1
+    try:
+        yield True
+    finally:
+        with _PIN_LOCK:
+            _pin_holders -= 1
+            if _pin_holders == 0:
+                set_(_pin_saved)
 
 
 @dataclass(frozen=True)
@@ -115,7 +174,8 @@ def _truncated_normal(rows: int, cols: int, gen: np.random.Generator) -> np.ndar
 def _orthogonal(rows: int, cols: int, gen: np.random.Generator, gain: float) -> np.ndarray:
     big, small = max(rows, cols), min(rows, cols)
     a = gen.normal(0.0, 1.0, size=(big, small))
-    q, r = np.linalg.qr(a)
+    with _one_blas_thread():
+        q, r = np.linalg.qr(a)
     # fix signs so the factorization (and hence the draw) is unique
     q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
     if rows < cols:

@@ -24,6 +24,8 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
+from .initializers import _one_blas_thread
+
 __all__ = [
     "welch_t_test",
     "kruskal_wallis",
@@ -134,11 +136,13 @@ def pearson(x, y) -> tuple[float, float]:
         raise ValueError(f"samples must have equal length, got {vx.size} and {vy.size}")
     dx = vx - vx.mean()
     dy = vy - vy.mean()
-    sx = math.sqrt(float(dx @ dx))
-    sy = math.sqrt(float(dy @ dy))
+    with _one_blas_thread():  # a long dot product's bits depend on BLAS's threads
+        sx = math.sqrt(float(dx @ dx))
+        sy = math.sqrt(float(dy @ dy))
+        dxy = float(dx @ dy)
     if sx == 0.0 or sy == 0.0:
         raise ValueError("correlation undefined for zero-variance sample")
-    r = float(dx @ dy) / (sx * sy)
+    r = dxy / (sx * sy)
     r = max(-1.0, min(1.0, r))
     n = vx.size
     if abs(r) == 1.0:

@@ -45,30 +45,27 @@ seed on the same platform and numpy/BLAS build. A population trains as
 n = min(R, cores) member groups, cores being the CPUs the process may
 run on: group g holds configs g, g + n, g + 2n, ... Each group is one
 lock-step population on its own thread, the calling thread running the
-first, and OpenBLAS is held at one thread for the whole call (concurrent
-calls take turns, as the count is process-wide), so the cores run
-independent GEMMs side by side and the outputs of train, train_population
-and a manifest run depend neither on n nor on OPENBLAS_NUM_THREADS.
-Where the OpenBLAS thread functions cannot be found, a population trains
-as one group and BLAS keeps its threads. Rewiring and every initializer
-but orthogonal (whose QR goes through LAPACK) use no BLAS.
+first, and OpenBLAS is held at one thread for the whole call (the
+package's one pin, initializers._one_blas_thread, which evaluate also
+holds), so the cores run independent GEMMs side by side and the outputs
+of train, train_population, evaluate and a manifest run depend neither
+on n nor on OPENBLAS_NUM_THREADS. Concurrent calls overlap. Where the
+OpenBLAS thread functions cannot be found, a population trains as one
+group and BLAS keeps its threads.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 import re
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset, pixels_to_float
-from .initializers import METHODS, InitSpec, _int, _ints, _real, init
+from .initializers import METHODS, InitSpec, _int, _ints, _one_blas_thread, _real, init
 from .rewiring import RewireConfig, pa_rewire, variance_search
 from .rng import BATCH_ORDER_DOMAIN, derive_stream, harness_generator
 
@@ -87,9 +84,6 @@ __all__ = [
 
 _EVAL_CHUNK = 1024
 _MOMENTUM = 0.9
-# Held while a population trains: the OpenBLAS thread count it pins is
-# process-wide, so a concurrent call would restore it under this one.
-_POPULATION_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -319,15 +313,16 @@ def evaluate(weights, biases, features, labels):
     buf = np.empty((min(chunk, n), features.shape[1])) if features.dtype == np.uint8 else None
     correct = [0] * n_pop
     loss_sum = [0.0] * n_pop
-    for start in range(0, n, chunk):
-        rows = features[start : start + chunk]
-        x = rows if buf is None else pixels_to_float(rows, buf[: rows.shape[0]])
-        y = labels[start : start + chunk]
-        for r in range(n_pop):
-            logits = _forward([w[r] for w in weights], [b[r] for b in biases], x)
-            loss, _ = _softmax_ce(logits, y)
-            loss_sum[r] += float(loss) * x.shape[0]
-            correct[r] += int(np.count_nonzero(logits.argmax(axis=1) == y))
+    with _one_blas_thread():
+        for start in range(0, n, chunk):
+            rows = features[start : start + chunk]
+            x = rows if buf is None else pixels_to_float(rows, buf[: rows.shape[0]])
+            y = labels[start : start + chunk]
+            for r in range(n_pop):
+                logits = _forward([w[r] for w in weights], [b[r] for b in biases], x)
+                loss, _ = _softmax_ce(logits, y)
+                loss_sum[r] += float(loss) * x.shape[0]
+                correct[r] += int(np.count_nonzero(logits.argmax(axis=1) == y))
     return [(100.0 * c / n, s / n) for c, s in zip(correct, loss_sum)]
 
 
@@ -385,7 +380,7 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
             raise ValueError(f"{name} labels must be a 1-D integer array, got {y.dtype} {y.shape}")
         if not 0 <= y.min() <= y.max() < n_out:
             raise ValueError(f"{name} labels must lie in [0, {n_out}), found {y.min()}..{y.max()}")
-    with _POPULATION_LOCK, _one_blas_thread() as pinned:
+    with _one_blas_thread() as pinned:
         n = min(len(cfgs), len(os.sched_getaffinity(0))) if pinned else 1
         results, errors = [None] * n, [None] * n
 
@@ -410,40 +405,6 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
         faults = [e for e in failed if not isinstance(e, TrainingDivergedError)]
         raise faults[0] if faults else min(failed, key=lambda e: (e.epoch, e.batch, e.repetition))
     return [results[i % n][i // n] for i in range(len(cfgs))]
-
-
-def _openblas_thread_functions():
-    """(get, set) for the thread count of the OpenBLAS that numpy ships in
-    numpy.libs, or None when no such library or symbol is found."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*"))
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):  # not loadable, or another build's symbols
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread, restoring its old count on exit; yields
-    whether it could be pinned (False leaves BLAS untouched)."""
-    funcs = _openblas_thread_functions()
-    if funcs is None:
-        yield False
-        return
-    get, set_ = funcs
-    old = get()
-    set_(1)
-    try:
-        yield True
-    finally:
-        set_(old)
 
 
 def _lockstep(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset) -> list[RunMetrics]:

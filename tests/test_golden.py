@@ -3,10 +3,10 @@
 The invariant tests elsewhere would not notice an optimization that moves a
 single weight; these pins do. Rewiring and every initializer but orthogonal
 call no BLAS, so their digests hold for a given numpy on a given platform.
-Orthogonal init goes through LAPACK's QR, which calls BLAS: with OpenBLAS
-0.3.31 a 784x256 draw changes bits between 1 and 2 threads, while the
-48x32 draw pinned here does not. Inside training, which holds OpenBLAS
-at one thread, the QR always runs at one thread.
+Orthogonal init goes through LAPACK's QR, which calls BLAS at one thread,
+so its digests hold for a given numpy/BLAS build under any
+OPENBLAS_NUM_THREADS; the 784x256 and 256x784 pins are draws whose bits
+differ between 1 and 2 threads with OpenBLAS 0.3.31.
 
 The training pins hold the files of one small two-arm manifest run and
 the metrics of a direct train_population call of its configs with
@@ -59,6 +59,40 @@ def test_init_digest(method):
     w = init(InitSpec(method, 48, 32), derive_stream(SEED, 0, 0))
     assert w.shape == (48, 32)
     assert digest(w) == INIT_DIGESTS[method]
+
+
+# Orthogonal draws whose QR gives other bits at 2 BLAS threads than at 1;
+# the QR holds BLAS at one thread, so these are the one-thread draws.
+ORTHOGONAL_DIGESTS = {
+    (784, 256): "8db33f9670a4b9798e42b779f392f21b7e40b5f03872062e95aa34ce418ae271",
+    (256, 784): "f8d28e1c0c9660968a5f6467b45678224cfe0deb41882e4bf52a10c1f2e9c472",
+}
+ORTHOGONAL_SCRIPT = """
+import hashlib, sys
+from strength_init.initializers import InitSpec, init
+from strength_init.rng import derive_stream
+rows, cols = int(sys.argv[1]), int(sys.argv[2])
+w = init(InitSpec("orthogonal", rows, cols), derive_stream(int(sys.argv[3]), 0, 0))
+print(hashlib.sha256(w.tobytes()).hexdigest())
+"""
+
+
+def run_at_blas_threads(blas_threads, args):
+    """Run python with `args` in a process of its own (the thread count is
+    read when numpy loads) at OPENBLAS_NUM_THREADS=blas_threads."""
+    src = Path(strength_init.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+@pytest.mark.parametrize("rows, cols", sorted(ORTHOGONAL_DIGESTS), ids=["256x784", "784x256"])
+def test_orthogonal_digest_at_any_blas_thread_count(rows, cols, blas_threads):
+    out = run_at_blas_threads(blas_threads, ["-c", ORTHOGONAL_SCRIPT, str(rows), str(cols), str(SEED)])
+    assert out.strip() == ORTHOGONAL_DIGESTS[(rows, cols)]
 
 
 REWIRE_DIGESTS = {
@@ -216,23 +250,36 @@ DIRECT_DIGEST = "78e84c04fcebe9292e01e9da09e125767ef4a464598604afd9bd002c37113d4
     pytest.param("train_population", 2, id="train_population-2"),
 ])
 def test_training_digest_at_any_blas_thread_count(mnist_784, tmp_path, entry, blas_threads):
-    # the thread count is read when numpy loads, so each run is a process of its own
     m = golden_manifest(mnist_784, tmp_path / "out")
     if entry == "train_population":
         m = replace(m, init_method="orthogonal")
     mpath = tmp_path / "m.json"
     mpath.write_text(m.to_json())
-    src = Path(strength_init.__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     args = ["-m", "strength_init.cli", "run", "--manifest"] if entry == "run" else ["-c", DIRECT_SCRIPT]
-    proc = subprocess.run([sys.executable, *args, str(mpath)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = run_at_blas_threads(blas_threads, [*args, str(mpath)])
     if entry == "run":
         assert run_digests(tmp_path / "out") == TRAINING_DIGESTS
     else:
-        assert proc.stdout.strip() == DIRECT_DIGEST
+        assert out.strip() == DIRECT_DIGEST
+
+
+# Prints what the package's other BLAS callers return: evaluate on a
+# K = 784 layer and pearson over 10^5 pairs, where a dot product's bits
+# depend on the thread count.
+OTHER_BLAS_SCRIPT = """
+import numpy as np
+from strength_init.stats import pearson
+from strength_init.training import evaluate
+g = np.random.default_rng(1)
+x, y = g.normal(size=(2, 100_000))
+feats, labels = g.normal(size=(2000, 784)), g.integers(0, 10, size=2000)
+ws, bs = [g.normal(size=(2, 784, 64)), g.normal(size=(2, 64, 10))], [np.zeros((2, 1, 64)), np.zeros((2, 1, 10))]
+print([float(v).hex() for v in pearson(x, y)], [(a, float(l).hex()) for a, l in evaluate(ws, bs, feats, labels)])
+"""
+
+
+def test_evaluate_and_pearson_at_any_blas_thread_count():
+    assert run_at_blas_threads(2, ["-c", OTHER_BLAS_SCRIPT]) == run_at_blas_threads(1, ["-c", OTHER_BLAS_SCRIPT])
 
 
 @pytest.mark.parametrize("n_groups", [1, 2], ids=["1-group", "2-groups"])

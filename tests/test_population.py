@@ -17,8 +17,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from strength_init import training
+from strength_init import initializers, training
 from strength_init.dataset import Dataset, pixels_to_float, split
+from strength_init.initializers import InitSpec, init
 from strength_init.manifest import ExperimentManifest, _run_population
 from strength_init.rng import BATCH_ORDER_DOMAIN, derive_stream, harness_generator
 from strength_init.training import (
@@ -267,7 +268,7 @@ def test_more_groups_than_cores_write_the_bytes_of_one_group(monkeypatch, splits
 
 
 def _blas_threads():
-    funcs = training._openblas_thread_functions()
+    funcs = initializers._openblas_thread_functions()
     if funcs is None:
         pytest.skip("numpy's OpenBLAS thread functions are not found; populations train as one group")
     return funcs
@@ -294,23 +295,35 @@ def test_arm_holds_blas_at_one_thread_and_restores_it(monkeypatch, splits):
     assert after == 2
 
 
-def test_concurrent_populations_take_turns(monkeypatch, splits):
-    # the BLAS thread count is process-wide: a second population started
-    # while the first trains must wait for it, or the first would restore
-    # its old count under the second
+def _spy_qr(monkeypatch, get):
+    """The BLAS thread count of each np.linalg.qr call, in a list filled as they run."""
+    seen, qr = [], np.linalg.qr
+
+    def spy(a):
+        seen.append(get())
+        return qr(a)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    return seen
+
+
+def test_concurrent_populations_overlap(monkeypatch, splits):
+    # the second population enters while the first trains, and the count
+    # the first found comes back only when the last of them returns
     get, set_ = _blas_threads()
-    entered, release = threading.Event(), threading.Event()
-    events = []
+    entered = [threading.Event(), threading.Event()]
+    first_done = threading.Event()
+    seen = []
 
     def spy(cfgs, *data):
         rep = cfgs[0].repetition_index
-        events.append(("enter", rep, get()))
+        seen.append(("enter", rep, get()))
+        entered[rep].set()
         if rep == 0:
-            entered.set()
-            release.wait(timeout=10)
+            entered[1].wait(timeout=10)
         else:
-            release.set()  # without turns, the second call frees the first
-        events.append(("return", rep))
+            first_done.wait(timeout=10)
+            seen.append(("after first", rep, get()))
         return [RunMetrics(repetition_index=cfg.repetition_index) for cfg in cfgs]
 
     monkeypatch.setattr(training, "_lockstep", spy)
@@ -321,17 +334,99 @@ def test_concurrent_populations_take_turns(monkeypatch, splits):
         first = threading.Thread(target=train_population, args=([first_cfg], *splits))
         second = threading.Thread(target=train_population, args=([second_cfg], *splits))
         first.start()
-        assert entered.wait(timeout=10)
+        assert entered[0].wait(timeout=10)
         second.start()
-        second.join(timeout=0.5)
-        release.set()
+        overlapped = entered[1].wait(timeout=10)
         first.join(timeout=10)
+        first_done.set()
         second.join(timeout=10)
         after = get()
     finally:
         set_(old)
+    assert overlapped
     assert not first.is_alive() and not second.is_alive()
-    assert events == [("enter", 0, 1), ("return", 0), ("enter", 1, 1), ("return", 1)]
+    assert seen == [("enter", 0, 1), ("enter", 1, 1), ("after first", 1, 1)]
+    assert after == 2
+
+
+def test_orthogonal_init_beside_a_population_keeps_it_at_one_thread(monkeypatch, splits):
+    get, set_ = _blas_threads()
+    entered, init_done = threading.Event(), threading.Event()
+    seen = []
+    qr_threads = _spy_qr(monkeypatch, get)
+
+    def spy(cfgs, *data):
+        seen.append(get())
+        entered.set()
+        init_done.wait(timeout=10)
+        seen.append(get())
+        return [RunMetrics(repetition_index=cfg.repetition_index) for cfg in cfgs]
+
+    monkeypatch.setattr(training, "_lockstep", spy)
+    old = get()
+    try:
+        set_(2)
+        population = threading.Thread(target=train_population, args=(_configs(1, 1, "none"), *splits))
+        population.start()
+        assert entered.wait(timeout=10)
+        drawer = threading.Thread(target=init, args=(InitSpec("orthogonal", 64, 32), derive_stream(1, 0, 0)))
+        drawer.start()
+        drawer.join(timeout=10)
+        init_done.set()
+        population.join(timeout=10)
+        after = get()
+    finally:
+        set_(old)
+    assert not drawer.is_alive() and not population.is_alive()
+    assert qr_threads == [1]
+    assert seen == [1, 1]
+    assert after == 2
+
+
+def test_orthogonal_init_runs_its_qr_at_one_thread_and_restores_the_count(monkeypatch):
+    get, set_ = _blas_threads()
+    seen = _spy_qr(monkeypatch, get)
+    old = get()
+    try:
+        set_(2)
+        init(InitSpec("orthogonal", 48, 32), derive_stream(1, 0, 0))
+        after = get()
+    finally:
+        set_(old)
+    assert seen == [1]
+    assert after == 2
+
+
+def test_pin_counts_holders_across_many_threads():
+    # more holders than cores, switching often: a lost update of the
+    # holder count would leave a holder at the old count, or never restore it
+    get, set_ = _blas_threads()
+    wrong = []
+    start = threading.Barrier(8, timeout=10)
+
+    def hold():
+        start.wait()
+        for _ in range(20000):
+            with initializers._one_blas_thread():
+                if get() != 1:
+                    wrong.append(get())
+
+    old = get()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        set_(2)
+        threads = [threading.Thread(target=hold) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        after = get()
+    finally:
+        sys.setswitchinterval(interval)
+        set_(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
     assert after == 2
 
 
