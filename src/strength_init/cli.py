@@ -38,7 +38,7 @@ from .rewiring import (
 )
 from .rng import derive_stream
 from .stats import compare
-from .strength import strength_stats
+from .strength import SIDES, strength_stats
 from .training import TrainingDivergedError
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="strength statistics of a WMAT file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--side", choices=("input", "output"), default="input")
+    p.add_argument("--side", choices=SIDES, default="input")
     p.add_argument("--json", action="store_true", help="emit the stats as a JSON object")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
 

@@ -36,11 +36,7 @@ import numpy as np
 from .initializers import _int
 
 __all__ = [
-    "IMAGE_MAGIC",
-    "LABEL_MAGIC",
     "Dataset",
-    "read_idx_images",
-    "read_idx_labels",
     "write_idx_images",
     "write_idx_labels",
     "split",
@@ -49,8 +45,8 @@ __all__ = [
     "pixels_to_float",
 ]
 
-IMAGE_MAGIC = 0x00000803
-LABEL_MAGIC = 0x00000801
+_IMAGE_MAGIC = 0x00000803
+_LABEL_MAGIC = 0x00000801
 
 DATASET_NAMES = ("mnist", "fmnist")
 
@@ -70,6 +66,8 @@ class Dataset:
     labels: np.ndarray    # (n,) int64
 
     def __post_init__(self):
+        if self.features.ndim != 2:
+            raise ValueError(f"features must be 2-D (n, d), got shape {self.features.shape}")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError(
                 f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels"
@@ -119,30 +117,20 @@ def _write_idx(path, data, magic: int, kind: str) -> None:
         f.write(arr.tobytes())
 
 
-def read_idx_images(path) -> np.ndarray:
-    """Raw (count, rows, cols) uint8 image cube from an IDX file."""
-    return _read_idx(path, IMAGE_MAGIC, "image")
-
-
-def read_idx_labels(path) -> np.ndarray:
-    """Raw (count,) uint8 label vector from an IDX file."""
-    return _read_idx(path, LABEL_MAGIC, "label")
-
-
 def write_idx_images(path, images: np.ndarray) -> None:
     """Write a (count, rows, cols) uint8 cube in IDX image format."""
-    _write_idx(path, images, IMAGE_MAGIC, "images")
+    _write_idx(path, images, _IMAGE_MAGIC, "images")
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
     """Write a (count,) uint8 vector in IDX label format."""
-    _write_idx(path, labels, LABEL_MAGIC, "labels")
+    _write_idx(path, labels, _LABEL_MAGIC, "labels")
 
 
 def _load_idx_pixels(images_path, labels_path) -> Dataset:
     """Load an image/label IDX pair into flat uint8 pixel features."""
-    images = read_idx_images(images_path)
-    labels = read_idx_labels(labels_path)
+    images = _read_idx(images_path, _IMAGE_MAGIC, "image")
+    labels = _read_idx(labels_path, _LABEL_MAGIC, "label")
     if images.shape[0] != labels.shape[0]:
         raise ValueError(
             f"{images_path} has {images.shape[0]} images but "

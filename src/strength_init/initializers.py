@@ -176,8 +176,7 @@ def _orthogonal(rows: int, cols: int, gen: np.random.Generator, gain: float) -> 
     a = gen.normal(0.0, 1.0, size=(big, small))
     with _one_blas_thread():
         q, r = np.linalg.qr(a)
-    # fix signs so the factorization (and hence the draw) is unique
-    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    if rows < cols:
-        q = q.T
-    return np.ascontiguousarray(gain * q)
+    # fix signs so the factorization (and hence the draw) is unique, and
+    # scale in the same step: a factor of -1 or 1 commutes exactly with gain
+    q *= np.where(np.diag(r) < 0.0, -gain, gain)
+    return np.ascontiguousarray(q.T if rows < cols else q)

@@ -28,9 +28,9 @@ from .dataset import DATASET_NAMES, load_named_dataset, split
 from .initializers import _int, _ints, _real
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import COMPARE_METRICS, compare, sample_std
-from .training import MlpArch, TrainConfig, train_population
+from .training import MlpArch, RunMetrics, TrainConfig, train_population
 
-__all__ = ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir", "resolve_data_dir"]
+__all__ = ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir"]
 
 DATA_ENV_VAR = "STRENGTH_INIT_DATA"
 
@@ -107,7 +107,7 @@ class ExperimentManifest:
         return TrainConfig(MlpArch(self.arch), repetition_index=repetition, rewire=rewire, **schedule)
 
 
-def resolve_data_dir(explicit=None) -> Path:
+def _resolve_data_dir(explicit=None) -> Path:
     """Data directory precedence: explicit argument, $STRENGTH_INIT_DATA, ./data."""
     if explicit:
         return Path(explicit)
@@ -123,25 +123,48 @@ def _prepare_data(manifest: ExperimentManifest):
     No part is scaled here: training scales each batch and evaluation
     chunk as it uses it, so no float64 copy of the pixels is held.
     """
-    data_dir = resolve_data_dir(manifest.data_dir)
+    data_dir = _resolve_data_dir(manifest.data_dir)
     train_full, test = load_named_dataset(data_dir, manifest.dataset)
     split_gen = harness_generator(manifest.global_seed, SPLIT_DOMAIN)
     return (*split(train_full, test.n, split_gen), test)
+
+
+def _rep_records(m: RunMetrics) -> list[dict]:
+    """The records of one repetition's rep_*.jsonl file, one per line:
+    an "epoch" record per epoch, then its "summary" record."""
+    epochs = [
+        {
+            "type": "epoch",
+            "epoch": e + 1,
+            "train_acc": m.train_acc[e],
+            "val_acc": m.val_acc[e],
+            "val_loss": m.val_loss[e],
+            "lr": m.lr[e],
+            "grad_abs_mean": m.grad_abs_mean[e],
+        }
+        for e in range(len(m.train_acc))
+    ]
+    summary = {
+        "type": "summary",
+        "repetition": m.repetition_index,
+        "epoch1_train_acc": m.train_acc[0],
+        "epoch1_val_acc": m.val_acc[0],
+        "convergence_epoch": m.convergence_epoch,
+        "test_acc": m.test_acc,
+    }
+    return epochs + [summary]
 
 
 def _run_population(manifest: ExperimentManifest, rewire: str, arm_dir: Path, data) -> list[dict]:
     """Train one arm as one population and write its files."""
     arm_dir.mkdir(parents=True, exist_ok=True)
     cfgs = [manifest.train_config(rewire, r) for r in range(manifest.repetitions)]
-    runs = train_population(cfgs, *data)
     summaries = []
-    for metrics in runs:
-        summary = metrics.summary()
+    for metrics in train_population(cfgs, *data):
+        records = _rep_records(metrics)
         with open(arm_dir / f"rep_{metrics.repetition_index:03d}.jsonl", "w") as f:
-            for rec in metrics.epoch_records():
-                f.write(json.dumps(rec) + "\n")
-            f.write(json.dumps(summary) + "\n")
-        summaries.append(summary)
+            f.writelines(json.dumps(rec) + "\n" for rec in records)
+        summaries.append(records[-1])
     _write_arm_summary(arm_dir / "summary.json", rewire, summaries)
     plot_export(arm_dir)
     return summaries

@@ -39,7 +39,6 @@ import numpy as np
 from .initializers import _ints
 
 __all__ = [
-    "validate_matrix",
     "save_matrix",
     "load_matrix",
     "conv_to_2d",
@@ -71,7 +70,7 @@ def _require_finite(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def validate_matrix(m) -> np.ndarray:
+def _validate_matrix(m) -> np.ndarray:
     """Return `m` as a C-contiguous float64 2-D array, checking invariants.
 
     Raises ValueError on a bad rank or shape and on a NaN or Inf entry.
@@ -92,7 +91,7 @@ def save_matrix(m, path) -> None:
     An existing file is rewritten in place, never cut to zero length (see
     the module docstring).
     """
-    arr = validate_matrix(m)
+    arr = _validate_matrix(m)
     header = b"WMAT1 rows=%d cols=%d dtype=f64 order=row-major endian=little\n" % arr.shape
     payload = _bytes_view(arr.astype("<f8", copy=False))
     with open(path, "wb", opener=_keep_contents) as f:
@@ -157,9 +156,10 @@ def conv_to_2d(t) -> np.ndarray:
     """Reshape a (w, h, z, o) filter bank to a (w*h*z, o) weight matrix.
 
     Filter position (iw, ih, iz) maps to row ((iw*h) + ih)*z + iz, i.e.
-    w varies slowest. The bank is checked as validate_matrix checks a
-    matrix. Both conv functions return a view of their input when it
-    already conforms; callers that mutate must copy.
+    w varies slowest. A bank of the wrong rank, an empty shape or a
+    non-finite entry is refused with ValueError, as save_matrix refuses
+    such a matrix. Both conv functions return a view of their input when
+    it already conforms; callers that mutate must copy.
     """
     name = "conv tensor (w, h, z, o)"
     arr = _require_finite(_conform(t, 4, name), name)
@@ -172,7 +172,7 @@ def conv_from_2d(m, filter_shape) -> np.ndarray:
     if len(shape) != 3 or min(shape) < 1:
         raise ValueError(f"filter shape must be 3 integers >= 1 (w, h, z), got {shape}")
     w, h, z = shape
-    arr = validate_matrix(m)
+    arr = _validate_matrix(m)
     if arr.shape[0] != w * h * z:
         raise ValueError(
             f"matrix has {arr.shape[0]} rows, filter shape {(w, h, z)} needs {w * h * z}"

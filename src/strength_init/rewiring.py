@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initializers import InitSpec, _int, _ints, init
-from .matrix_io import _conform, _require_finite, conv_from_2d, conv_to_2d
+from .matrix_io import _conform, _require_finite, conv_to_2d
 from .rng import derive_stream
 from .strength import strengths
 
@@ -213,7 +213,7 @@ def pa_rewire(m, cfg: RewireConfig) -> np.ndarray:
 def pa_rewire_conv(t, cfg: RewireConfig) -> np.ndarray:
     """Rewire a (w, h, z, o) filter bank through its 2-D form (see conv_to_2d).
     Both reshapes are views, and pa_rewire only reads the bank."""
-    return conv_from_2d(pa_rewire(conv_to_2d(t), cfg), np.shape(t)[:3])
+    return pa_rewire(conv_to_2d(t), cfg).reshape(np.shape(t))
 
 
 def variance_search(spec: InitSpec, k: int, mode: str, rng: np.random.Generator) -> np.ndarray:

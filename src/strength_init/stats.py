@@ -256,8 +256,9 @@ def _extract(runs, key: str) -> np.ndarray:
 def compare(baseline, treatment) -> ComparisonReport:
     """Compare two run populations metric by metric.
 
-    `baseline` and `treatment` are sequences of run summary dicts (as
-    written by RunMetrics.summary) with at least two runs each; each dict
+    `baseline` and `treatment` are sequences of run summary dicts (the
+    summary records of rep_*.jsonl files, as a manifest run writes them
+    and read_run_dir reads them) with at least two runs each; each dict
     holds epoch1_train_acc, epoch1_val_acc, convergence_epoch and
     test_acc. Population sizes may differ (the tests are unpaired), but a
     size mismatch is worth a warning since paired seeds are the usual

@@ -21,7 +21,6 @@ __all__ = [
     "SIDES",
     "strengths",
     "StrengthStats",
-    "stats_from_strengths",
     "strength_stats",
 ]
 
@@ -32,9 +31,10 @@ def strengths(m, side: str = "input") -> np.ndarray:
     """Strength vector of one side of a layer: row sums or column sums.
 
     numpy's fixed (pairwise, ascending-index) summation makes the result
-    reproducible for a given matrix. The matrix is checked as
-    validate_matrix checks it, but its entries are scanned only when a sum
-    is not finite: a NaN or Inf entry always makes its sums non-finite.
+    reproducible for a given matrix. A matrix of the wrong rank or shape
+    is refused, and so is one with a NaN or Inf entry, but the entries are
+    scanned only when a sum is not finite: a NaN or Inf entry always makes
+    its sums non-finite.
     """
     arr = _conform(m, 2, "matrix")
     if side not in SIDES:
@@ -62,18 +62,21 @@ class StrengthStats:
         return asdict(self)
 
 
-def stats_from_strengths(s) -> StrengthStats:
-    """Moments of a strength vector; skewness/kurtosis are 0 for a constant vector."""
-    v = np.asarray(s, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("strength vector must be 1-D and nonempty")
+def strength_stats(m, side: str = "input") -> StrengthStats:
+    """Strength-distribution summary for one side of a layer.
+
+    Skewness and excess kurtosis are 0 for a constant strength vector.
+    """
+    v = strengths(m, side)
     mu = float(v.mean())
     # an exactly constant vector has zero deviations, not the rounding
     # noise of v - mean, so all its central moments are exactly 0
     d = np.zeros_like(v) if v.max() == v.min() else v - mu
-    m2 = float(np.mean(d * d))
-    m3 = float(np.mean(d * d * d))
-    m4 = float(np.mean(d * d * d * d))
+    d2 = d * d
+    d3 = d2 * d
+    m2 = float(np.mean(d2))
+    m3 = float(np.mean(d3))
+    m4 = float(np.mean(d3 * d))
     if m2 > 0.0:
         skew = m3 / m2**1.5
         exk = m4 / (m2 * m2) - 3.0
@@ -89,8 +92,3 @@ def stats_from_strengths(s) -> StrengthStats:
         skewness=skew,
         excess_kurtosis=exk,
     )
-
-
-def strength_stats(m, side: str = "input") -> StrengthStats:
-    """Strength-distribution summary for one side of a layer."""
-    return stats_from_strengths(strengths(m, side))

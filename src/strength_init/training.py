@@ -74,8 +74,6 @@ __all__ = [
     "TrainConfig",
     "RunMetrics",
     "TrainingDivergedError",
-    "parse_rewire_mode",
-    "cosine_lr",
     "build_layer_weights",
     "train",
     "train_population",
@@ -108,7 +106,7 @@ class MlpArch:
 _PA_PASSES = {"pa": "bidirectional", "pa-input": "input-only"}
 
 
-def parse_rewire_mode(mode: str) -> tuple[str, int | None]:
+def _parse_rewire_mode(mode: str) -> tuple[str, int | None]:
     """Split a rewire-mode string into (kind, K).
 
     Accepts "none", "pa" (bidirectional), "pa-input", and "var-min:K" /
@@ -152,12 +150,15 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.repetition_index < 0:
             raise ValueError(f"repetition_index must be >= 0, got {self.repetition_index}")
-        parse_rewire_mode(self.rewire)
+        _parse_rewire_mode(self.rewire)
 
 
 @dataclass
 class RunMetrics:
-    """Per-epoch trace plus the final selection of one training run."""
+    """Per-epoch trace plus the final selection of one training run.
+
+    manifest renders it as the records of a rep_*.jsonl file.
+    """
 
     repetition_index: int
     train_acc: list[float] = field(default_factory=list)
@@ -167,30 +168,6 @@ class RunMetrics:
     grad_abs_mean: list[list[float]] = field(default_factory=list)
     convergence_epoch: int = 0
     test_acc: float = 0.0
-
-    def summary(self) -> dict:
-        return {
-            "type": "summary",
-            "repetition": self.repetition_index,
-            "epoch1_train_acc": self.train_acc[0],
-            "epoch1_val_acc": self.val_acc[0],
-            "convergence_epoch": self.convergence_epoch,
-            "test_acc": self.test_acc,
-        }
-
-    def epoch_records(self) -> list[dict]:
-        return [
-            {
-                "type": "epoch",
-                "epoch": e + 1,
-                "train_acc": self.train_acc[e],
-                "val_acc": self.val_acc[e],
-                "val_loss": self.val_loss[e],
-                "lr": self.lr[e],
-                "grad_abs_mean": self.grad_abs_mean[e],
-            }
-            for e in range(len(self.train_acc))
-        ]
 
 
 class TrainingDivergedError(RuntimeError):
@@ -209,7 +186,7 @@ class TrainingDivergedError(RuntimeError):
         self.repetition = repetition
 
 
-def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
+def _cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
     """Cosine schedule: lr0 at epoch 0, lr0/2 halfway, exactly 0 at the end."""
     return lr0 * (1.0 + math.cos(math.pi * epoch / total_epochs)) / 2.0
 
@@ -221,7 +198,7 @@ def build_layer_weights(cfg: TrainConfig) -> list[np.ndarray]:
     rewiring continues on the same stream, so a baseline run and its
     rewired treatment start from identical pre-rewiring weights.
     """
-    kind, k = parse_rewire_mode(cfg.rewire)
+    kind, k = _parse_rewire_mode(cfg.rewire)
     sizes = cfg.arch.layer_sizes
     weights = []
     for l in range(cfg.arch.n_weight_layers):
@@ -277,9 +254,10 @@ def _backward(weights, pre, acts, probs, labels):
 
     Works on one model or a stacked population alike (see _forward); bias
     gradients are (n_out,) per model, so (R, n_out) for a population.
+    `probs` is consumed: it becomes the output layer's delta in place.
     """
     batch = labels.shape[0]
-    delta = probs.copy()
+    delta = probs
     delta[..., np.arange(batch), labels] -= 1.0
     delta /= batch
     grads_w = [None] * len(weights)
@@ -289,12 +267,7 @@ def _backward(weights, pre, acts, probs, labels):
         grads_b[l] = delta.sum(axis=-2)
         if l > 0:
             delta = delta @ np.swapaxes(weights[l], -1, -2)
-            # delta[pre <= 0] = 0.0 as a bitwise AND with all-ones or
-            # all-zeros words: the same bits, without a branch per element
-            keep = (pre[l - 1] <= 0.0).astype(np.uint64)
-            keep -= 1
-            bits = delta.view(np.uint64)
-            np.bitwise_and(bits, keep, out=bits)
+            np.copyto(delta, 0.0, where=pre[l - 1] <= 0.0)
     return grads_w, grads_b
 
 
@@ -431,7 +404,7 @@ def _lockstep(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset) -> lis
     n = train_ds.n
 
     for epoch in range(head.epochs):
-        lr = cosine_lr(epoch, head.epochs, head.lr0)
+        lr = _cosine_lr(epoch, head.epochs, head.lr0)
         perm = batch_gen.permutation(n)
         grad_sums = np.zeros((n_pop, n_layers))
         n_batches = 0

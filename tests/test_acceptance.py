@@ -16,7 +16,7 @@ from helpers import make_synthetic_mnist
 
 from strength_init.dataset import dataset_paths, load_named_dataset, split
 from strength_init.initializers import METHODS, InitSpec, init
-from strength_init.manifest import ExperimentManifest, resolve_data_dir, run_manifest
+from strength_init.manifest import ExperimentManifest, _resolve_data_dir, run_manifest
 from strength_init.rewiring import (
     RewireConfig,
     fit_loglog_slope,
@@ -165,7 +165,7 @@ def test_criterion_06_gradient_correctness():
 
 
 def _mnist_or_skip():
-    data_dir = resolve_data_dir(None)
+    data_dir = _resolve_data_dir(None)
     try:
         dataset_paths(data_dir, "mnist")
     except FileNotFoundError:

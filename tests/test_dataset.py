@@ -8,20 +8,27 @@ import pytest
 
 from helpers import broken_gzip
 from strength_init.dataset import (
-    IMAGE_MAGIC,
-    LABEL_MAGIC,
     Dataset,
-    _load_idx_pixels,
     dataset_paths,
     load_named_dataset,
     pixels_to_float,
-    read_idx_images,
-    read_idx_labels,
     split,
     write_idx_images,
     write_idx_labels,
+    _IMAGE_MAGIC,
+    _LABEL_MAGIC,
+    _load_idx_pixels,
+    _read_idx,
 )
 from strength_init.rng import derive_stream
+
+
+def read_images(path):
+    return _read_idx(path, _IMAGE_MAGIC, "image")
+
+
+def read_labels(path):
+    return _read_idx(path, _LABEL_MAGIC, "label")
 
 
 def load_idx(images_path, labels_path):
@@ -41,8 +48,8 @@ def idx_pair(tmp_path, rng):
 
 
 def test_magic_constants():
-    assert IMAGE_MAGIC == 0x00000803 == 2051
-    assert LABEL_MAGIC == 0x00000801 == 2049
+    assert _IMAGE_MAGIC == 0x00000803 == 2051
+    assert _LABEL_MAGIC == 0x00000801 == 2049
 
 
 def test_header_layout_and_rank(tmp_path):
@@ -51,8 +58,8 @@ def test_header_layout_and_rank(tmp_path):
     assert (tmp_path / "l.idx").read_bytes() == bytes.fromhex("00000801 00000003 000102")
     write_idx_images(tmp_path / "i.idx", np.full((2, 1, 1), 7, dtype=np.uint8))
     assert (tmp_path / "i.idx").read_bytes() == bytes.fromhex("00000803 00000002 00000001 00000001 0707")
-    npt.assert_array_equal(read_idx_labels(tmp_path / "l.idx"), [0, 1, 2])
-    assert read_idx_images(tmp_path / "i.idx").shape == (2, 1, 1)
+    npt.assert_array_equal(read_labels(tmp_path / "l.idx"), [0, 1, 2])
+    assert read_images(tmp_path / "i.idx").shape == (2, 1, 1)
     with pytest.raises(ValueError):
         write_idx_labels(tmp_path / "bad.idx", np.zeros((2, 2)))
     with pytest.raises(ValueError):
@@ -87,7 +94,7 @@ def test_bad_image_magic(tmp_path, idx_pair):
     bad = tmp_path / "bad.idx"
     bad.write_bytes(b"\x00\x00\x08\x01" + b"\x00" * 12)
     with pytest.raises(ValueError, match="image magic 0x00000801, expected"):
-        read_idx_images(bad)
+        read_images(bad)
 
 
 def test_bad_label_magic(tmp_path, idx_pair):
@@ -96,6 +103,13 @@ def test_bad_label_magic(tmp_path, idx_pair):
     bad.write_bytes(b"\xff\x00\x08\x01" + b"\x00" * 4)
     with pytest.raises(ValueError, match="label magic 0xff000801, expected"):
         load_idx(ipath, bad)
+
+
+@pytest.mark.parametrize("shape", [(20,), (), (4, 5, 1)])
+def test_features_must_be_two_dimensional(shape):
+    # 1-D features used to reach training and die there with an IndexError
+    with pytest.raises(ValueError, match="features must be 2-D"):
+        Dataset(np.zeros(shape), np.zeros(20, dtype=np.int64))
 
 
 def test_count_mismatch(tmp_path, rng):
@@ -111,10 +125,10 @@ def test_truncated_payload(tmp_path, idx_pair):
     trunc = tmp_path / "trunc.idx"
     trunc.write_bytes(data[:-10])
     with pytest.raises(ValueError, match="payload holds 990 bytes, header declares 1000"):
-        read_idx_images(trunc)
+        read_images(trunc)
     trunc.write_bytes(data[:10])  # the magic and part of the dimensions
     with pytest.raises(ValueError, match="truncated IDX header"):
-        read_idx_images(trunc)
+        read_images(trunc)
 
 
 def test_gzip_round_trip(tmp_path, rng):
@@ -135,7 +149,7 @@ def test_broken_gzip_is_a_value_error_naming_the_path(tmp_path, idx_pair, how, c
     bad = tmp_path / "i.idx.gz"
     bad.write_bytes(broken_gzip(ipath.read_bytes(), how))
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: ") as exc:
-        read_idx_images(bad)
+        read_images(bad)
     assert isinstance(exc.value.__cause__, cause)
 
 

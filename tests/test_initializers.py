@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -41,6 +42,22 @@ def test_orthogonal_gain_scaling():
     gain = math.sqrt(2.0)
     w = init(InitSpec("orthogonal", 40, 16, gain=gain), derive_stream(3, 0, 0))
     npt.assert_allclose(w.T @ w, gain**2 * np.eye(16), atol=1e-8)
+
+
+def test_orthogonal_wide_draw_peaks_below_four_outputs():
+    # the sign fix and the gain scale the QR factor in place, and only the
+    # transpose of a wide draw is copied: about 3.37 outputs, where numpy's
+    # QR sets the peak (a scaled copy before the transpose made it 4.33)
+    spec = InitSpec("orthogonal", 256, 784, gain=1.5)
+    init(spec, derive_stream(6, 0, 0))  # load LAPACK and the BLAS pin outside the trace
+    tracemalloc.start()
+    try:
+        w = init(spec, derive_stream(6, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.flags.c_contiguous
+    assert peak <= 3.6 * w.nbytes
 
 
 def test_truncated_normal_million_samples():

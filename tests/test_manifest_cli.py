@@ -19,14 +19,15 @@ from strength_init.manifest import (
     _SCHEDULE,
     ExperimentManifest,
     _prepare_data,
+    _rep_records,
+    _resolve_data_dir,
     plot_export,
     read_run_dir,
-    resolve_data_dir,
     run_manifest,
 )
 from strength_init.matrix_io import load_matrix
 from strength_init.rng import SPLIT_DOMAIN, harness_generator
-from strength_init.training import MlpArch, TrainConfig
+from strength_init.training import MlpArch, RunMetrics, TrainConfig
 
 SRC = Path(strength_init.__file__).resolve().parent.parent
 
@@ -316,12 +317,28 @@ class TestManifest:
             cells = line.split(",")
             assert float(cells[2]) == 0.0  # train_acc std
 
+    def test_rep_records_are_the_epochs_then_the_summary(self):
+        m = RunMetrics(
+            repetition_index=7, train_acc=[50.0, 60.0], val_acc=[40.0, 55.0], val_loss=[1.5, 1.25],
+            lr=[0.1, 0.05], grad_abs_mean=[[0.5, 0.25], [0.75, 0.125]], convergence_epoch=2,
+            test_acc=52.5,
+        )
+        records = _rep_records(m)
+        assert [json.dumps(rec) for rec in records] == [
+            '{"type": "epoch", "epoch": 1, "train_acc": 50.0, "val_acc": 40.0, "val_loss": 1.5, '
+            '"lr": 0.1, "grad_abs_mean": [0.5, 0.25]}',
+            '{"type": "epoch", "epoch": 2, "train_acc": 60.0, "val_acc": 55.0, "val_loss": 1.25, '
+            '"lr": 0.05, "grad_abs_mean": [0.75, 0.125]}',
+            '{"type": "summary", "repetition": 7, "epoch1_train_acc": 50.0, "epoch1_val_acc": 40.0, '
+            '"convergence_epoch": 2, "test_acc": 52.5}',
+        ]
+
     def test_resolve_data_dir_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("STRENGTH_INIT_DATA", str(tmp_path / "envdata"))
-        assert resolve_data_dir(None) == tmp_path / "envdata"
-        assert resolve_data_dir(tmp_path / "explicit") == tmp_path / "explicit"
+        assert _resolve_data_dir(None) == tmp_path / "envdata"
+        assert _resolve_data_dir(tmp_path / "explicit") == tmp_path / "explicit"
         monkeypatch.delenv("STRENGTH_INIT_DATA")
-        assert str(resolve_data_dir(None)) == "data"
+        assert str(_resolve_data_dir(None)) == "data"
 
 
 class TestCli:

@@ -11,7 +11,7 @@ from strength_init.matrix_io import (
     conv_to_2d,
     load_matrix,
     save_matrix,
-    validate_matrix,
+    _validate_matrix,
 )
 from strength_init.rng import derive_stream
 
@@ -223,15 +223,15 @@ class TestConvReshape:
 class TestValidate:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
-            validate_matrix(np.zeros(4))
+            _validate_matrix(np.zeros(4))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            validate_matrix(np.zeros((0, 3)))
+            _validate_matrix(np.zeros((0, 3)))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="matrix has 1 non-finite entries"):
-            validate_matrix(np.array([[1.0, np.nan]]))
+            _validate_matrix(np.array([[1.0, np.nan]]))
 
     def test_conv_checked_by_the_same_rules(self):
         with pytest.raises(ValueError, match="4-D"):

@@ -20,7 +20,7 @@ import pytest
 from strength_init import initializers, training
 from strength_init.dataset import Dataset, pixels_to_float, split
 from strength_init.initializers import InitSpec, init
-from strength_init.manifest import ExperimentManifest, _run_population
+from strength_init.manifest import ExperimentManifest, _rep_records, _run_population
 from strength_init.rng import BATCH_ORDER_DOMAIN, derive_stream, harness_generator
 from strength_init.training import (
     MlpArch,
@@ -28,9 +28,9 @@ from strength_init.training import (
     TrainConfig,
     TrainingDivergedError,
     build_layer_weights,
-    cosine_lr,
     train,
     train_population,
+    _cosine_lr,
 )
 
 # "pa" rewires both sides; its id names the passes, as for "pa-input"
@@ -117,7 +117,7 @@ def reference_train(cfg, train_ds, val_ds, test_ds):
     best_biases = None
 
     for epoch in range(cfg.epochs):
-        lr = cosine_lr(epoch, cfg.epochs, cfg.lr0)
+        lr = _cosine_lr(epoch, cfg.epochs, cfg.lr0)
         perm = batch_gen.permutation(n)
         grad_sums = np.zeros(len(weights))
         n_batches = 0
@@ -253,7 +253,7 @@ def test_more_groups_than_cores_write_the_bytes_of_one_group(monkeypatch, splits
         groups = _spy_groups(monkeypatch, cores)
         runs = train_population(cfgs, *splits)
         # the lines of each repetition's file, as a manifest arm writes them
-        return sorted(groups), [[json.dumps(rec) for rec in m.epoch_records() + [m.summary()]] for m in runs]
+        return sorted(groups), [[json.dumps(rec) for rec in _rep_records(m)] for m in runs]
 
     one_groups, one = files(1)
     interval = sys.getswitchinterval()

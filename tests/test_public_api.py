@@ -175,15 +175,12 @@ def test_module_surface():
     assert surface == {
         "cli": None,
         "dataset": [
-            "IMAGE_MAGIC", "LABEL_MAGIC", "Dataset", "read_idx_images", "read_idx_labels",
-            "write_idx_images", "write_idx_labels", "split", "dataset_paths",
+            "Dataset", "write_idx_images", "write_idx_labels", "split", "dataset_paths",
             "load_named_dataset", "pixels_to_float",
         ],
         "initializers": ["METHODS", "InitSpec", "init"],
-        "manifest": [
-            "ExperimentManifest", "run_manifest", "plot_export", "read_run_dir", "resolve_data_dir",
-        ],
-        "matrix_io": ["validate_matrix", "save_matrix", "load_matrix", "conv_to_2d", "conv_from_2d"],
+        "manifest": ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir"],
+        "matrix_io": ["save_matrix", "load_matrix", "conv_to_2d", "conv_from_2d"],
         "rewiring": [
             "PASS_MODES", "RewireConfig", "attachment_scores", "pa_rewire", "pa_rewire_conv",
             "variance_search", "rewire_cost_probe", "fit_loglog_slope", "SweepRow",
@@ -194,9 +191,9 @@ def test_module_surface():
             "welch_t_test", "kruskal_wallis", "pearson", "median_abs_deviation", "sample_std",
             "MetricComparison", "ComparisonReport", "compare", "COMPARE_METRICS", "ALPHA",
         ],
-        "strength": ["SIDES", "strengths", "StrengthStats", "stats_from_strengths", "strength_stats"],
+        "strength": ["SIDES", "strengths", "StrengthStats", "strength_stats"],
         "training": [
-            "MlpArch", "TrainConfig", "RunMetrics", "TrainingDivergedError", "parse_rewire_mode",
-            "cosine_lr", "build_layer_weights", "train", "train_population", "evaluate",
+            "MlpArch", "TrainConfig", "RunMetrics", "TrainingDivergedError", "build_layer_weights",
+            "train", "train_population", "evaluate",
         ],
     }

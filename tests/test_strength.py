@@ -7,7 +7,7 @@ from helpers import predicted_strength_variance
 from strength_init.initializers import InitSpec, init
 from strength_init.rewiring import max_strength_scaling, sweep_rows_to_csv
 from strength_init.rng import derive_stream
-from strength_init.strength import stats_from_strengths, strength_stats, strengths
+from strength_init.strength import strength_stats, strengths
 
 
 class TestStrengths:
@@ -56,14 +56,14 @@ class TestStrengths:
 
 class TestStats:
     def test_two_point_moments(self):
-        st = stats_from_strengths(np.array([-1.0, 7.0]))
+        st = strength_stats(np.array([[-1.0], [7.0]]), "input")
         assert st.mean == 3.0
         assert st.variance == 16.0
         assert st.fourth_central_moment == 256.0
         assert st.max_abs == 7.0
 
     def test_constant_vector(self):
-        st = stats_from_strengths(np.full(10, 4.2))
+        st = strength_stats(np.full((1, 10), 4.2), "output")
         assert st.variance == 0.0
         assert st.fourth_central_moment == 0.0
         assert st.skewness == 0.0

@@ -12,12 +12,12 @@ from strength_init.training import (
     TrainConfig,
     TrainingDivergedError,
     build_layer_weights,
-    cosine_lr,
     evaluate,
-    parse_rewire_mode,
     train,
     _backward,
+    _cosine_lr,
     _forward,
+    _parse_rewire_mode,
     _softmax_ce,
 )
 
@@ -55,12 +55,12 @@ def toy_config(**kw):
 
 class TestSchedule:
     def test_documented_values(self):
-        assert cosine_lr(0, 100, 0.01) == 0.01
-        assert abs(cosine_lr(50, 100, 0.01) - 0.005) < 1e-15
-        assert abs(cosine_lr(100, 100, 0.01)) < 1e-12
+        assert _cosine_lr(0, 100, 0.01) == 0.01
+        assert abs(_cosine_lr(50, 100, 0.01) - 0.005) < 1e-15
+        assert abs(_cosine_lr(100, 100, 0.01)) < 1e-12
 
     def test_monotone_decreasing(self):
-        vals = [cosine_lr(e, 30, 0.1) for e in range(31)]
+        vals = [_cosine_lr(e, 30, 0.1) for e in range(31)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -77,7 +77,7 @@ class TestRewireModeParsing:
         ],
     )
     def test_valid(self, text, expected):
-        assert parse_rewire_mode(text) == expected
+        assert _parse_rewire_mode(text) == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -89,7 +89,7 @@ class TestRewireModeParsing:
     )
     def test_invalid(self, text):
         with pytest.raises(ValueError):
-            parse_rewire_mode(text)
+            _parse_rewire_mode(text)
 
 
 class TestLossAndGradients:
@@ -329,11 +329,3 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="layer sizes: a sequence of integers"):
             MlpArch(5)
 
-    def test_summary_fields(self, toy_splits):
-        metrics = train(toy_config(), *toy_splits)
-        s = metrics.summary()
-        assert s["type"] == "summary"
-        assert set(s) >= {"epoch1_train_acc", "epoch1_val_acc", "convergence_epoch", "test_acc"}
-        records = metrics.epoch_records()
-        assert len(records) == 4
-        assert records[0]["epoch"] == 1
