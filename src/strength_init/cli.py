@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .initializers import METHODS, InitSpec, init
-from .manifest import ExperimentManifest, read_run_dir, run_manifest
+from .manifest import ExperimentManifest, _compare_run_dirs, run_manifest
 from .matrix_io import load_matrix, save_matrix
 from .rewiring import (
     PASS_MODES,
@@ -37,7 +37,6 @@ from .rewiring import (
     sweep_rows_to_csv,
 )
 from .rng import derive_stream
-from .stats import compare
 from .strength import SIDES, strength_stats
 from .training import TrainingDivergedError
 
@@ -164,9 +163,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    base = [doc["summary"] for doc in read_run_dir(args.baseline)]
-    treat = [doc["summary"] for doc in read_run_dir(args.treatment)]
-    report = compare(base, treat)
+    report = _compare_run_dirs(args.baseline, args.treatment)
     _emit(report.to_markdown() if args.format == "md" else report.to_json(), args.out)
     return EXIT_OK
 
@@ -181,8 +178,7 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    manifest = ExperimentManifest.load(args.manifest)
-    return run_manifest(manifest)
+    return run_manifest(ExperimentManifest.load(args.manifest))
 
 
 _COMMANDS = {

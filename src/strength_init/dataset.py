@@ -68,9 +68,9 @@ class Dataset:
     def __post_init__(self):
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D (n, d), got shape {self.features.shape}")
-        if self.features.shape[0] != self.labels.shape[0]:
+        if self.labels.shape[:1] != self.features.shape[:1]:
             raise ValueError(
-                f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels"
+                f"{self.features.shape[0]} feature rows vs labels of shape {self.labels.shape}"
             )
 
     @property

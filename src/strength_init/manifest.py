@@ -9,9 +9,10 @@ arm are declared, a statistical comparison report. Re-running the same
 manifest into a new out_dir reproduces every output byte for byte, under
 the conditions the training module's docstring gives.
 
-Each arm is one training.train_population call.
-The data stays uint8 pixels: both arms share one split, and the engine
-scales each batch and evaluation chunk as it uses it.
+Each arm is one training.train_population call, written out as its
+rep_*.jsonl files alone; the arm's summary.json and CSVs and the
+comparison are computed from those files (read_run_dir), as `strength-init
+compare` computes its report. Both arms share one split of uint8 pixels.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .dataset import DATASET_NAMES, load_named_dataset, split
 from .initializers import _int, _ints, _real
 from .rng import SPLIT_DOMAIN, harness_generator
-from .stats import COMPARE_METRICS, compare, sample_std
+from .stats import COMPARE_METRICS, ComparisonReport, compare, sample_std
 from .training import MlpArch, RunMetrics, TrainConfig, train_population
 
 __all__ = ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir"]
@@ -109,12 +110,7 @@ class ExperimentManifest:
 
 def _resolve_data_dir(explicit=None) -> Path:
     """Data directory precedence: explicit argument, $STRENGTH_INIT_DATA, ./data."""
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get(DATA_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path("data")
+    return Path(explicit or os.environ.get(DATA_ENV_VAR) or "data")
 
 
 def _prepare_data(manifest: ExperimentManifest):
@@ -155,22 +151,21 @@ def _rep_records(m: RunMetrics) -> list[dict]:
     return epochs + [summary]
 
 
-def _run_population(manifest: ExperimentManifest, rewire: str, arm_dir: Path, data) -> list[dict]:
-    """Train one arm as one population and write its files."""
+def _run_population(manifest: ExperimentManifest, rewire: str, arm_dir: Path, data) -> None:
+    """Train one arm as one population and write its rep_*.jsonl files."""
     arm_dir.mkdir(parents=True, exist_ok=True)
     cfgs = [manifest.train_config(rewire, r) for r in range(manifest.repetitions)]
-    summaries = []
     for metrics in train_population(cfgs, *data):
-        records = _rep_records(metrics)
         with open(arm_dir / f"rep_{metrics.repetition_index:03d}.jsonl", "w") as f:
-            f.writelines(json.dumps(rec) + "\n" for rec in records)
-        summaries.append(records[-1])
-    _write_arm_summary(arm_dir / "summary.json", rewire, summaries)
-    plot_export(arm_dir)
-    return summaries
+            f.writelines(json.dumps(rec) + "\n" for rec in _rep_records(metrics))
 
 
-def _write_arm_summary(path: Path, rewire: str, summaries: list[dict]) -> None:
+def _summaries(runs_dir) -> list[dict]:
+    return [doc["summary"] for doc in read_run_dir(runs_dir)]
+
+
+def _write_arm_summary(arm_dir: Path, rewire: str) -> None:
+    summaries = _summaries(arm_dir)
     agg = {}
     for key, _, _ in COMPARE_METRICS:
         vals = np.asarray([s[key] for s in summaries], dtype=np.float64)
@@ -180,7 +175,12 @@ def _write_arm_summary(path: Path, rewire: str, summaries: list[dict]) -> None:
             "median": float(np.median(vals)),
         }
     doc = {"rewire": rewire, "repetitions": len(summaries), "aggregate": agg, "runs": summaries}
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    (arm_dir / "summary.json").write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def _compare_run_dirs(baseline_dir, treatment_dir) -> ComparisonReport:
+    """What run_manifest writes as comparison.* and `strength-init compare` prints."""
+    return compare(_summaries(baseline_dir), _summaries(treatment_dir))
 
 
 def run_manifest(manifest: ExperimentManifest) -> int:
@@ -189,7 +189,7 @@ def run_manifest(manifest: ExperimentManifest) -> int:
     Baseline always runs; the treatment arm and the comparison report are
     produced only when treatment_rewire is declared. An out_dir that
     already holds repetition files is refused with ValueError before
-    anything is written: its old files would be merged into the new run.
+    anything is written, so no old file enters an aggregate.
     """
     out_dir = Path(manifest.out_dir)
     stale = sorted(out_dir.glob("*/rep_*.jsonl"))
@@ -199,12 +199,15 @@ def run_manifest(manifest: ExperimentManifest) -> int:
     (out_dir / "manifest.json").write_text(manifest.to_json())
     data = _prepare_data(manifest)
 
-    base_summaries = _run_population(manifest, manifest.baseline_rewire, out_dir / "baseline", data)
+    arms = [("baseline", manifest.baseline_rewire)]
     if manifest.treatment_rewire is not None:
-        treat_summaries = _run_population(
-            manifest, manifest.treatment_rewire, out_dir / "treatment", data
-        )
-        report = compare(base_summaries, treat_summaries)
+        arms.append(("treatment", manifest.treatment_rewire))
+    for arm, rewire in arms:
+        _run_population(manifest, rewire, out_dir / arm, data)
+        _write_arm_summary(out_dir / arm, rewire)
+        plot_export(out_dir / arm)
+    if manifest.treatment_rewire is not None:
+        report = _compare_run_dirs(out_dir / "baseline", out_dir / "treatment")
         (out_dir / "comparison.md").write_text(report.to_markdown())
         (out_dir / "comparison.json").write_text(report.to_json())
     return 0
@@ -265,12 +268,10 @@ def plot_export(runs_dir) -> list[Path]:
     def column(key):
         return np.asarray([[doc["records"][e][key] for e in range(n_epochs)] for doc in docs])
 
-    train_acc = column("train_acc")
-    val_acc = column("val_acc")
-    val_loss = column("val_loss")
+    columns = [column(key) for key in ("train_acc", "val_acc", "val_loss")]
     lines = ["epoch,train_acc_mean,train_acc_std,val_acc_mean,val_acc_std,val_loss_mean,val_loss_std"]
     for e in range(n_epochs):
-        cells = [f"{a[:, e].mean():.17g},{sample_std(a[:, e]):.17g}" for a in (train_acc, val_acc, val_loss)]
+        cells = [f"{a[:, e].mean():.17g},{sample_std(a[:, e]):.17g}" for a in columns]
         lines.append(f"{e + 1}," + ",".join(cells))
     curves = runs_dir / "curves.csv"
     curves.write_text("\n".join(lines) + "\n")

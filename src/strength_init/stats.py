@@ -12,7 +12,9 @@ differences with p >= ALPHA are labelled indistinct.
 The test statistics are computed here from their defining formulas;
 only the reference distributions (Student t, chi-square) come from
 scipy.special, which is imported on first use: importing the package
-and every command that computes no p-value load numpy alone.
+and every command that computes no p-value load numpy alone. Nothing
+here calls BLAS: pearson sums its products with numpy's own reductions,
+whose bits do not depend on BLAS's thread count, so it holds no pin.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import warnings
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
-
-from .initializers import _one_blas_thread
 
 __all__ = [
     "welch_t_test",
@@ -136,10 +136,10 @@ def pearson(x, y) -> tuple[float, float]:
         raise ValueError(f"samples must have equal length, got {vx.size} and {vy.size}")
     dx = vx - vx.mean()
     dy = vy - vy.mean()
-    with _one_blas_thread():  # a long dot product's bits depend on BLAS's threads
-        sx = math.sqrt(float(dx @ dx))
-        sy = math.sqrt(float(dy @ dy))
-        dxy = float(dx @ dy)
+    # numpy's own sums, not BLAS dot products, whose bits depend on BLAS's threads
+    sx = math.sqrt(float(np.sum(dx * dx)))
+    sy = math.sqrt(float(np.sum(dy * dy)))
+    dxy = float(np.sum(dx * dy))
     if sx == 0.0 or sy == 0.0:
         raise ValueError("correlation undefined for zero-variance sample")
     r = dxy / (sx * sy)

@@ -40,6 +40,10 @@ on it. The chunk size is a fixed constant: a member's loss is summed per
 chunk, so it is part of the bits of val_loss once a split has more than
 1024 rows; accuracies are exact counts.
 
+One check (_check_split) refuses a split the network cannot take, with
+ValueError: train_population runs it on all three splits before any
+member group starts, and evaluate on its own input.
+
 Reproducibility: the package's outputs are bit-identical for a given
 seed on the same platform and numpy/BLAS build. A population trains as
 n = min(R, cores) member groups, cores being the CPUs the process may
@@ -271,6 +275,19 @@ def _backward(weights, pre, acts, probs, labels):
     return grads_w, grads_b
 
 
+def _check_split(name, features, labels, n_in, n_out) -> None:
+    """A split needs a row, 2-D features n_in wide and one integer label
+    per row in [0, n_out): a class outside it would index past the logits."""
+    if features.ndim != 2 or features.shape[1] != n_in:
+        raise ValueError(f"{name} features must be (n, {n_in}) for the network, got {features.shape}")
+    if features.shape[0] < 1:
+        raise ValueError(f"{name} set must be nonempty")
+    if labels.shape != features.shape[:1] or labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} labels must be one integer per row, got {labels.dtype} {labels.shape}")
+    if not 0 <= labels.min() <= labels.max() < n_out:
+        raise ValueError(f"{name} labels must lie in [0, {n_out}), found {labels.min()}..{labels.max()}")
+
+
 def evaluate(weights, biases, features, labels):
     """(accuracy in percent, mean loss) of each member of a population.
 
@@ -280,6 +297,7 @@ def evaluate(weights, biases, features, labels):
     runs its own forward pass on them; a member's sums add up chunk by
     chunk, so the other members do not change its bits.
     """
+    _check_split("evaluation", features, labels, weights[0].shape[-2], weights[-1].shape[-1])
     n_pop = weights[0].shape[0]
     n = features.shape[0]
     chunk = _EVAL_CHUNK
@@ -318,14 +336,10 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     """Train several repetitions in lock-step; one RunMetrics per config, in order.
 
     The configs may differ only in repetition_index, init_method and
-    rewire. Every member sees the same batches, so each
-    batch is gathered once and every layer is one matmul over the stacked
-    (R, n_in, n_out) weights. That matmul issues the same GEMM per member
-    as training the member alone, and every other step is elementwise or
-    runs on the member's own contiguous slice, so each RunMetrics is
-    bit-identical to training that config by itself, and uint8 pixels
-    give the same metrics as their pixels_to_float copy. Member groups
-    and the OpenBLAS pin (see the module docstring) change no bit.
+    rewire. Each RunMetrics is bit-identical to training that config by
+    itself, and uint8 pixels give the metrics of their pixels_to_float
+    copy; member groups and the OpenBLAS pin change no bit (see the
+    module docstring).
 
     Raises TrainingDivergedError once every group has stopped, naming the
     first batch where any member's loss is non-finite and the lowest such
@@ -338,21 +352,9 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     for cfg in cfgs[1:]:
         if any(getattr(cfg, f) != getattr(head, f) for f in _SHARED_FIELDS):
             raise ValueError(f"population members must share {', '.join(_SHARED_FIELDS)}")
-    if min(train_ds.n, val_ds.n, test_ds.n) < 1:
-        raise ValueError("train, validation and test sets must be nonempty")
     sizes = head.arch.layer_sizes
-    if train_ds.features.shape[1] != sizes[0]:
-        raise ValueError(
-            f"architecture expects {sizes[0]} input features, "
-            f"dataset has {train_ds.features.shape[1]}"
-        )
-    n_out = sizes[-1]
     for name, ds in (("train", train_ds), ("validation", val_ds), ("test", test_ds)):
-        y = ds.labels  # a class id outside [0, n_out) would index past the logits
-        if y.ndim != 1 or y.dtype.kind not in "iu":
-            raise ValueError(f"{name} labels must be a 1-D integer array, got {y.dtype} {y.shape}")
-        if not 0 <= y.min() <= y.max() < n_out:
-            raise ValueError(f"{name} labels must lie in [0, {n_out}), found {y.min()}..{y.max()}")
+        _check_split(name, ds.features, ds.labels, sizes[0], sizes[-1])
     with _one_blas_thread() as pinned:
         n = min(len(cfgs), len(os.sched_getaffinity(0))) if pinned else 1
         results, errors = [None] * n, [None] * n

@@ -112,6 +112,13 @@ def test_features_must_be_two_dimensional(shape):
         Dataset(np.zeros(shape), np.zeros(20, dtype=np.int64))
 
 
+@pytest.mark.parametrize("labels", [np.array(1), np.zeros(2, dtype=np.int64)], ids=["0-d", "too-few"])
+def test_labels_need_a_first_axis_as_long_as_the_rows(labels):
+    # 0-d labels used to raise IndexError here
+    with pytest.raises(ValueError, match="3 feature rows vs labels of shape"):
+        Dataset(np.zeros((3, 4)), labels)
+
+
 def test_count_mismatch(tmp_path, rng):
     write_idx_images(tmp_path / "i.idx", rng.integers(0, 255, (5, 2, 2), dtype=np.uint8))
     write_idx_labels(tmp_path / "l.idx", rng.integers(0, 10, 7, dtype=np.uint8))

@@ -13,8 +13,10 @@ import pytest
 from helpers import broken_gzip, make_synthetic_mnist
 
 import strength_init
+import strength_init.manifest as manifest_module
+from strength_init import training
 from strength_init.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from strength_init.dataset import Dataset, load_named_dataset, pixels_to_float, split
+from strength_init.dataset import Dataset, load_named_dataset, pixels_to_float, split, write_idx_images
 from strength_init.manifest import (
     _SCHEDULE,
     ExperimentManifest,
@@ -27,6 +29,7 @@ from strength_init.manifest import (
 )
 from strength_init.matrix_io import load_matrix
 from strength_init.rng import SPLIT_DOMAIN, harness_generator
+from strength_init.stats import compare
 from strength_init.training import MlpArch, RunMetrics, TrainConfig
 
 SRC = Path(strength_init.__file__).resolve().parent.parent
@@ -182,6 +185,52 @@ class TestManifest:
             "comparison.json",
         ]:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+    def test_arm_outputs_are_computed_from_the_run_files(self, data_dir, tmp_path, monkeypatch):
+        plain = tmp_path / "plain"
+        run_manifest(tiny_manifest(data_dir, plain, treatment_rewire="pa"))
+        compared = []
+
+        def reading(runs_dir):
+            docs = read_run_dir(runs_dir)
+            for doc in docs:  # a mark that only the files' read-back carries
+                doc["summary"]["repetition"] += 100
+            return docs
+
+        def comparing(base, treat):
+            compared.append([[s["repetition"] for s in arm] for arm in (base, treat)])
+            return compare(base, treat)
+
+        monkeypatch.setattr(manifest_module, "read_run_dir", reading)
+        monkeypatch.setattr(manifest_module, "compare", comparing)
+        out = tmp_path / "out"
+        run_manifest(tiny_manifest(data_dir, out, treatment_rewire="pa"))
+        assert compared == [[[100, 101], [100, 101]]]
+        for arm in ("baseline", "treatment"):
+            summary = json.loads((out / arm / "summary.json").read_text())
+            assert [run.pop("repetition") for run in summary["runs"]] == [100, 101]
+            want = json.loads((plain / arm / "summary.json").read_text())
+            for run in want["runs"]:
+                del run["repetition"]
+            assert summary == want
+        # everything else has the bytes of the unmarked run
+        for rel in ["baseline/rep_000.jsonl", "treatment/rep_001.jsonl", "baseline/curves.csv",
+                    "treatment/gradients.csv", "comparison.md", "comparison.json"]:
+            assert (out / rel).read_bytes() == (plain / rel).read_bytes(), rel
+
+    def test_test_images_of_another_size_refused_before_the_first_batch(self, tmp_path, monkeypatch,
+                                                                         capsys):
+        # 5x5 t10k images against 4x4 training images used to be refused
+        # only after every epoch of the baseline arm, in its test evaluation
+        data = make_synthetic_mnist(tmp_path / "data")
+        write_idx_images(data / "mnist" / "t10k-images-idx3-ubyte", np.zeros((40, 5, 5), np.uint8))
+        groups = []
+        monkeypatch.setattr(training, "_lockstep", lambda *args: groups.append(args))
+        mpath = tmp_path / "m.json"
+        mpath.write_text(tiny_manifest(data, tmp_path / "out").to_json())
+        assert main(["run", "--manifest", str(mpath)]) == EXIT_DATA
+        assert not groups
+        assert "test features must be (n, 16)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_groups", [1, 2], ids=["1-group", "2-groups"])
     def test_data_and_evaluations_go_through_the_public_names(self, data_dir, tmp_path, monkeypatch,

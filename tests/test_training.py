@@ -249,6 +249,18 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"^{name} labels must"):
             train(toy_config(), *parts)
 
+    @pytest.mark.parametrize("part, name", [(1, "validation"), (2, "test")])
+    def test_narrow_split_refused_before_any_group_trains(self, toy_splits, monkeypatch, part, name):
+        # used to fail in the split's first evaluation, after a whole epoch
+        # (validation) or every epoch (test)
+        groups = []
+        monkeypatch.setattr(training, "_lockstep", lambda *args: groups.append(args))
+        parts = list(toy_splits)
+        parts[part] = Dataset(parts[part].features[:, :-1], parts[part].labels)
+        with pytest.raises(ValueError, match=f"^{name} features must"):
+            train(toy_config(), *parts)
+        assert not groups
+
 
 class TestEvaluate:
     def test_perfect_predictor(self):
@@ -287,6 +299,16 @@ class TestEvaluate:
         for chunk in (7, 100):
             monkeypatch.setattr(training, "_EVAL_CHUNK", chunk)
             assert evaluate(ws, bs, pixels, labels) == evaluate(ws, bs, scaled, labels)
+
+    @pytest.mark.parametrize("rows, label", [(0, 0), (4, -1), (4, 3)],
+                             ids=["no-rows", "label--1", "label-n_out"])
+    def test_refuses_what_training_refuses(self, rows, label):
+        # these used to raise ZeroDivisionError, score -1 as the last class
+        # and raise IndexError
+        feats = np.ones((rows, 6))
+        labels = np.full(rows, label, dtype=np.int64)
+        with pytest.raises(ValueError, match="^evaluation "):
+            evaluate([np.ones((1, 6, 3))], [np.zeros((1, 1, 3))], feats, labels)
 
 
 class TestConfigValidation:
