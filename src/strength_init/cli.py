@@ -11,6 +11,11 @@ isolation. rewire restarts the layer's stream, so its file differs from
 the `pa` layer that training builds on init's continued stream (its keys
 repeat init's raw draws); its strength collapse is the same within noise.
 
+Text results (analyze, sweep, compare, cost) go to stdout, which a shell
+redirects to a file; WMAT matrices go through the --in and --out paths,
+which may be pipes (init --out /dev/stdout | analyze --in /dev/stdin).
+run writes its run directory.
+
 Exit codes: 0 success, 1 usage error, 2 data error (a malformed or
 unreadable file, including a corrupt .gz, a bad value, or an OS error
 while reading or writing), 3 numeric failure (training diverged).
@@ -21,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .initializers import METHODS, InitSpec, init
@@ -97,38 +101,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--side", choices=SIDES, default="input")
     p.add_argument("--json", action="store_true", help="emit the stats as a JSON object")
-    p.add_argument("--out", default=None, help="write output here instead of stdout")
 
     p = sub.add_parser("sweep", help="max-strength scaling table across layer sizes (CSV)")
     p.add_argument("--method", choices=METHODS, default="kaiming-uniform")
     p.add_argument("--sizes", type=_int_list, default=[64, 256, 1024, 4096])
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--out", default=None)
     _add_seed_arg(p)
 
     p = sub.add_parser("compare", help="statistical comparison of two run directories")
     p.add_argument("--baseline", required=True)
     p.add_argument("--treatment", required=True)
     p.add_argument("--format", choices=("md", "json"), default="md")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("cost", help="wall-time scaling probe of the rewiring pass")
     p.add_argument("--sizes", type=_int_list, default=[256, 512, 1024, 2048, 4096])
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--out", default=None)
     _add_seed_arg(p)
 
     p = sub.add_parser("run", help="execute an experiment manifest")
     p.add_argument("--manifest", required=True)
 
     return parser
-
-
-def _emit(text: str, out) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_init(args) -> int:
@@ -148,23 +141,23 @@ def _cmd_rewire(args) -> int:
 def _cmd_analyze(args) -> int:
     stats = strength_stats(load_matrix(args.infile), args.side)
     if args.json:
-        _emit(json.dumps(stats.to_dict(), indent=2) + "\n", args.out)
+        sys.stdout.write(json.dumps(stats.to_dict(), indent=2) + "\n")
     else:
         lines = [f"{k} = {v}" for k, v in stats.to_dict().items()]
-        _emit("\n".join(lines) + "\n", args.out)
+        sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     stream = derive_stream(args.seed, 0, 0)
     rows = max_strength_scaling(args.method, args.sizes, args.trials, stream)
-    _emit(sweep_rows_to_csv(rows), args.out)
+    sys.stdout.write(sweep_rows_to_csv(rows))
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     report = _compare_run_dirs(args.baseline, args.treatment)
-    _emit(report.to_markdown() if args.format == "md" else report.to_json(), args.out)
+    sys.stdout.write(report.to_markdown() if args.format == "md" else report.to_json())
     return EXIT_OK
 
 
@@ -173,7 +166,7 @@ def _cmd_cost(args) -> int:
     lines = ["n,seconds"] + [f"{n},{t:.6f}" for n, t in table]
     if len(table) >= 2:
         lines.append(f"# log-log slope: {fit_loglog_slope(table):.3f}")
-    _emit("\n".join(lines) + "\n", args.out)
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -38,6 +38,7 @@ DATA_ENV_VAR = "STRENGTH_INIT_DATA"
 # The manifest fields every repetition's TrainConfig takes as they are;
 # TrainConfig keeps their defaults.
 _SCHEDULE = ("init_method", "global_seed", "epochs", "batch_size", "lr0")
+_CURVE_KEYS = ("train_acc", "val_acc", "val_loss")  # curves.csv's columns, in order
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,13 @@ def run_manifest(manifest: ExperimentManifest) -> int:
     return 0
 
 
+def _rep_files(runs_dir: Path) -> list[Path]:
+    files = sorted(runs_dir.glob("rep_*.jsonl"), key=lambda p: (len(p.name), p.name))
+    if not files:
+        raise FileNotFoundError(f"no rep_*.jsonl metric files in {runs_dir}")
+    return files
+
+
 def read_run_dir(runs_dir) -> list[dict]:
     """Load every rep_*.jsonl in a directory into {records, summary} docs,
     in repetition order (rep_999 before rep_1000).
@@ -221,12 +229,8 @@ def read_run_dir(runs_dir) -> list[dict]:
     holding every COMPARE_METRICS key as a finite number (not a bool, NaN
     or Infinity), are refused with ValueError naming the file.
     """
-    runs_dir = Path(runs_dir)
-    files = sorted(runs_dir.glob("rep_*.jsonl"), key=lambda p: (len(p.name), p.name))
-    if not files:
-        raise FileNotFoundError(f"no rep_*.jsonl metric files in {runs_dir}")
     docs = []
-    for fp in files:
+    for fp in _rep_files(Path(runs_dir)):
         records = []
         summary = None
         with open(fp) as f:
@@ -254,21 +258,44 @@ def read_run_dir(runs_dir) -> list[dict]:
     return docs
 
 
+def _check_epoch_records(runs_dir: Path, docs: list[dict]) -> None:
+    """Refuse a file with no epoch records, another epoch or layer count
+    than the first file's, or a record lacking a key plot_export reads."""
+    first = docs[0]["records"]
+    for fp, doc in zip(_rep_files(runs_dir), docs, strict=True):
+        records = doc["records"]
+        if not records:
+            raise ValueError(f"{fp} has no epoch records")
+        if len(records) != len(first):
+            raise ValueError(f"{fp} has {len(records)} epoch records, the first file {len(first)}")
+        for rec in records:
+            lacking = [key for key in (*_CURVE_KEYS, "grad_abs_mean") if key not in rec]
+            if lacking:
+                raise ValueError(f"{fp}: an epoch record lacks {lacking}")
+            if len(rec["grad_abs_mean"]) != len(first[0]["grad_abs_mean"]):
+                raise ValueError(f"{fp}: an epoch record has {len(rec['grad_abs_mean'])} layers, "
+                                 f"the first file {len(first[0]['grad_abs_mean'])}")
+
+
 def plot_export(runs_dir) -> list[Path]:
     """Aggregate a run directory into plot-ready CSV bundles.
 
     Writes curves.csv (per-epoch mean and std of train/val accuracy and
     validation loss) and gradients.csv (per-epoch per-layer mean and std
     of the absolute weight gradient). Returns the written paths.
+
+    A run file whose epoch records cannot be aggregated with the first
+    file's is refused with ValueError naming it.
     """
     runs_dir = Path(runs_dir)
     docs = read_run_dir(runs_dir)
+    _check_epoch_records(runs_dir, docs)
     n_epochs = len(docs[0]["records"])
 
     def column(key):
         return np.asarray([[doc["records"][e][key] for e in range(n_epochs)] for doc in docs])
 
-    columns = [column(key) for key in ("train_acc", "val_acc", "val_loss")]
+    columns = [column(key) for key in _CURVE_KEYS]
     lines = ["epoch,train_acc_mean,train_acc_std,val_acc_mean,val_acc_std,val_loss_mean,val_loss_std"]
     for e in range(n_epochs):
         cells = [f"{a[:, e].mean():.17g},{sample_std(a[:, e]):.17g}" for a in columns]

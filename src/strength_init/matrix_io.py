@@ -21,6 +21,10 @@ the same path then waits for the disk. The first byte is zeroed before
 the payload is written and the header goes last, so a save cut short at
 any point leaves a file that load_matrix refuses. A target that is not a
 regular file, such as /dev/null or a pipe, is written straight through.
+Loading reads a pipe too: a regular file's size is checked against the
+header before the payload is allocated, and a stream's payload is read
+in bounded chunks, so a corrupt header cannot ask for more memory than
+the input holds.
 
 A matrix of the wrong rank, an empty shape or a non-finite entry, and a
 file that breaks the format, are refused with ValueError; a failure of
@@ -49,6 +53,7 @@ _HEADER_RE = re.compile(
     rb"\AWMAT1 rows=([0-9]+) cols=([0-9]+) dtype=f64 order=row-major endian=little\Z"
 )
 _MAX_HEADER_LEN = 128
+_STREAM_CHUNK = 1 << 20
 
 
 def _conform(a, ndim: int, name: str) -> np.ndarray:
@@ -110,7 +115,8 @@ def save_matrix(m, path) -> None:
 def load_matrix(path) -> np.ndarray:
     """Read a WMAT file back into a float64 matrix.
 
-    The payload is read straight into the returned array. Raises
+    A regular file's payload is read straight into the returned array,
+    and a stream's (a pipe, /dev/stdin) in bounded chunks. Raises
     ValueError, naming the path, when the header is missing or malformed,
     the payload length disagrees with the header's shape, or an entry is
     not finite; OSError when the file cannot be read.
@@ -124,13 +130,22 @@ def load_matrix(path) -> np.ndarray:
         if rows < 1 or cols < 1:
             raise ValueError(f"{path}: header declares empty shape ({rows}, {cols})")
         expected = rows * cols * 8
-        # compare with the file size before allocating, so a corrupt header
-        # cannot ask for an arbitrarily large array
-        found = os.fstat(f.fileno()).st_size - f.tell()
-        if found == expected:
-            arr = np.empty((rows, cols), dtype="<f8")
-            # a file that shrinks or grows while being read still fails below
-            found = f.readinto(_bytes_view(arr)) + len(f.read(1))
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode):
+            # compare with the file size before allocating, so a corrupt
+            # header cannot ask for an arbitrarily large array
+            found = st.st_size - f.tell()
+            if found == expected:
+                arr = np.empty((rows, cols), dtype="<f8")
+                # a file that shrinks or grows while being read still fails below
+                found = f.readinto(_bytes_view(arr)) + len(f.read(1))
+        else:
+            # a pipe has no size: what the stream delivers bounds the buffer,
+            # and one byte past the payload is enough to refuse a long one
+            payload = _read_at_most(f, expected + 1)
+            found = len(payload)
+            if found == expected:
+                arr = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
         if found != expected:
             raise ValueError(
                 f"{path}: expected {expected} payload bytes for shape "
@@ -143,6 +158,17 @@ def load_matrix(path) -> np.ndarray:
 def _bytes_view(arr: np.ndarray) -> memoryview:
     """The raw bytes of a C-contiguous array, without copying them."""
     return memoryview(arr).cast("B")
+
+
+def _read_at_most(f: io.BufferedReader, limit: int) -> bytearray:
+    """Up to `limit` bytes of `f`, read in chunks of at most _STREAM_CHUNK."""
+    buf = bytearray()
+    while len(buf) < limit:
+        chunk = f.read(min(limit - len(buf), _STREAM_CHUNK))
+        if not chunk:
+            break
+        buf += chunk
+    return buf
 
 
 def _read_header_line(f: io.BufferedReader, path) -> bytes:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -35,6 +37,14 @@ from strength_init.training import MlpArch, RunMetrics, TrainConfig
 SRC = Path(strength_init.__file__).resolve().parent.parent
 
 
+def run_cli(argv, **kwargs):
+    """Run the CLI in a subprocess on argv; stdout and stderr are captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "strength_init.cli", *argv], env=env,
+                          capture_output=True, timeout=120, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     return make_synthetic_mnist(tmp_path_factory.mktemp("data"))
@@ -60,6 +70,24 @@ def summary_record(r, acc=90.0):
     """A run file's summary record for repetition r, holding every compared metric."""
     return {"type": "summary", "repetition": r, "epoch1_train_acc": acc + r,
             "epoch1_val_acc": acc - r, "convergence_epoch": 2 + r, "test_acc": acc + 0.5 * r}
+
+
+def epoch_record(e, n_layers=2):
+    return {"type": "epoch", "epoch": e, "train_acc": 50.0 + e, "val_acc": 40.0 + e,
+            "val_loss": 1.0 / e, "lr": 0.1, "grad_abs_mean": [0.5] * n_layers}
+
+
+_NO_VAL_LOSS = {k: v for k, v in epoch_record(1).items() if k != "val_loss"}
+
+# The epoch records of rep_000 and rep_001 in a run directory that
+# plot_export must refuse, and the file it must name.
+UNAGGREGATABLE = {
+    "second-file-fewer-epochs": ([epoch_record(1), epoch_record(2)], [epoch_record(1)], 1),
+    "second-file-more-epochs": ([epoch_record(1)], [epoch_record(1), epoch_record(2)], 1),
+    "summary-only": ([], [], 0),
+    "record-lacks-val-loss": ([epoch_record(1)], [_NO_VAL_LOSS], 1),
+    "second-file-fewer-layers": ([epoch_record(1)], [epoch_record(1, n_layers=1)], 1),
+}
 
 
 def write_run_dir(d, acc=90.0, n=3):
@@ -350,6 +378,16 @@ class TestManifest:
         with pytest.raises(FileNotFoundError):
             plot_export(tmp_path)
 
+    @pytest.mark.parametrize("epochs", UNAGGREGATABLE.values(), ids=UNAGGREGATABLE.keys())
+    def test_plot_export_refuses_what_it_cannot_aggregate(self, tmp_path, epochs):
+        *per_file, bad = epochs
+        for r, records in enumerate(per_file):
+            lines = [json.dumps(rec) for rec in [*records, summary_record(r)]]
+            (tmp_path / f"rep_{r:03d}.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path / f"rep_{bad:03d}.jsonl"))):
+            plot_export(tmp_path)
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_read_run_dir_in_repetition_order(self, tmp_path):
         # sorted by name, rep_1000 came between rep_100 and rep_101
         for r in range(1001):
@@ -391,7 +429,7 @@ class TestManifest:
 
 
 class TestCli:
-    def test_init_rewire_analyze_pipeline(self, tmp_path):
+    def test_init_rewire_analyze_pipeline(self, tmp_path, capsys):
         w_path = tmp_path / "l0.wmat"
         r_path = tmp_path / "l0_pa.wmat"
         assert main([
@@ -404,12 +442,9 @@ class TestCli:
         ]) == EXIT_OK
         w, r = load_matrix(w_path), load_matrix(r_path)
         npt.assert_array_equal(np.sort(w, axis=None), np.sort(r, axis=None))
-        out_json = tmp_path / "stats.json"
-        assert main([
-            "analyze", "--in", str(r_path), "--side", "input", "--json",
-            "--out", str(out_json),
-        ]) == EXIT_OK
-        stats = json.loads(out_json.read_text())
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(r_path), "--side", "input", "--json"]) == EXIT_OK
+        stats = json.loads(capsys.readouterr().out)
         assert stats["n"] == 32
 
     def test_cli_deterministic(self, tmp_path):
@@ -422,18 +457,51 @@ class TestCli:
     def test_init_to_stdout_pipe_emits_exactly_the_wmat_bytes(self, tmp_path):
         args = ["init", "--method", "kaiming-normal", "--rows", "6", "--cols", "5", "--seed", "4"]
         assert main(args + ["--out", str(tmp_path / "w.wmat")]) == EXIT_OK
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "strength_init.cli", *args, "--out", "/dev/stdout"],
-            env=env,
-            capture_output=True,
-            timeout=120,
-        )
+        proc = run_cli([*args, "--out", "/dev/stdout"])
         assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
         header = b"WMAT1 rows=6 cols=5 dtype=f64 order=row-major endian=little\n"
         assert proc.stdout == (tmp_path / "w.wmat").read_bytes()
         assert proc.stdout.startswith(header) and len(proc.stdout) == len(header) + 6 * 5 * 8
+
+    def test_init_rewire_analyze_through_pipes(self, tmp_path):
+        # each stage reads the one before it from /dev/stdin, a pipe
+        init = ["init", "--method", "kaiming-uniform", "--rows", "32", "--cols", "16", "--seed", "7"]
+        rewire = ["rewire", "--passes", "bidirectional", "--seed", "7"]
+        analyze = ["analyze", "--side", "input", "--json"]
+        w, r = str(tmp_path / "w.wmat"), str(tmp_path / "r.wmat")
+        assert main(init + ["--out", w]) == EXIT_OK
+        assert main(rewire + ["--in", w, "--out", r]) == EXIT_OK
+        from_file = run_cli(analyze + ["--in", r])
+        assert from_file.returncode == EXIT_OK, from_file.stderr[-2000:]
+
+        def piped(argv, stream):
+            proc = run_cli(argv, input=stream)
+            assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+            return proc.stdout
+
+        w_stream = piped(init + ["--out", "/dev/stdout"], b"")
+        r_stream = piped(rewire + ["--in", "/dev/stdin", "--out", "/dev/stdout"], w_stream)
+        assert r_stream == Path(r).read_bytes()
+        assert piped(analyze + ["--in", "/dev/stdin"], r_stream) == from_file.stdout
+
+    @pytest.mark.parametrize(
+        "rows, extra, found",
+        [(32, -8, 4088), (10**12, -8, 4088), (32, 1, 4097)],
+        ids=["cut-short", "huge-header", "one-byte-long"],
+    )
+    def test_stream_of_the_wrong_length_is_data_error(self, tmp_path, rows, extra, found):
+        # a stream is read one byte past the declared payload at most, and
+        # the declared shape is never allocated before the stream delivers it
+        assert main(["init", "--method", "kaiming-uniform", "--rows", "32", "--cols", "16",
+                     "--out", str(tmp_path / "w.wmat")]) == EXIT_OK
+        wmat = (tmp_path / "w.wmat").read_bytes()
+        stream = wmat[:extra] if extra < 0 else wmat + b"x" * extra
+        proc = run_cli(["analyze", "--in", "/dev/stdin"],
+                       input=stream.replace(b"rows=32 ", b"rows=%d " % rows))
+        assert proc.returncode == EXIT_DATA
+        (line,) = proc.stderr.decode().splitlines()
+        assert line == (f"strength-init: /dev/stdin: expected {rows * 16 * 8} payload bytes for "
+                        f"shape ({rows}, 16), found {found}")
 
     def test_rewire_in_place_matches_a_new_file(self, tmp_path):
         x, y = tmp_path / "x.wmat", tmp_path / "y.wmat"
@@ -451,21 +519,19 @@ class TestCli:
         assert not out.exists()
         assert main(args + ["--gain", "1"]) == EXIT_OK
 
-    def test_sweep_csv(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert main([
-            "sweep", "--sizes", "16,32", "--trials", "2", "--seed", "5", "--out", str(out),
-        ]) == EXIT_OK
-        lines = out.read_text().splitlines()
+    def test_sweep_csv(self, capsys):
+        assert main(["sweep", "--sizes", "16,32", "--trials", "2", "--seed", "5"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("size,")
 
-    def test_cost_probe(self, tmp_path):
-        out = tmp_path / "cost.csv"
-        assert main(["cost", "--sizes", "32,64", "--reps", "1", "--out", str(out)]) == EXIT_OK
-        lines = out.read_text().splitlines()
+    def test_cost_probe(self, capsys):
+        assert main(["cost", "--sizes", "32,64", "--reps", "1"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "n,seconds"
-        assert lines[-1].startswith("# log-log slope:")
+        assert [line.split(",")[0] for line in lines[1:3]] == ["32", "64"]
+        assert re.fullmatch(r"# log-log slope: -?[0-9]+\.[0-9]{3}", lines[-1]), lines[-1]
+        assert len(lines) == 4
         assert main(["cost", "--sizes", "32", "--reps", "0"]) == EXIT_DATA
 
     def test_usage_errors(self):
@@ -511,20 +577,19 @@ class TestCli:
         bad.write_bytes(b"not a wmat\n")
         assert main(["analyze", "--in", str(bad)]) == EXIT_DATA
 
-    def test_train_and_compare_cli(self, data_dir, tmp_path):
+    def test_train_and_compare_cli(self, data_dir, tmp_path, capsys):
         out = tmp_path / "runs"
         mpath = tmp_path / "m.json"
         mpath.write_text(tiny_manifest(data_dir, out, treatment_rewire="pa",
                                        repetitions=5).to_json())
         assert main(["run", "--manifest", str(mpath)]) == EXIT_OK
+        capsys.readouterr()
         for fmt, name in (("md", "comparison.md"), ("json", "comparison.json")):
-            report = tmp_path / f"cmp.{fmt}"
             assert main([
                 "compare", "--baseline", str(out / "baseline"),
                 "--treatment", str(out / "treatment"), "--format", fmt,
-                "--out", str(report),
             ]) == EXIT_OK
-            assert report.read_bytes() == (out / name).read_bytes(), fmt
+            assert capsys.readouterr().out.encode() == (out / name).read_bytes(), fmt
 
     def test_train_missing_data_dir(self, tmp_path):
         mpath = tmp_path / "m.json"
@@ -557,12 +622,53 @@ class TestCli:
         assert "manifest" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_compare_alpha_is_usage_error(self, tmp_path):
+    def test_compare_alpha_is_usage_error(self, tmp_path, capsys):
         dirs = [write_run_dir(tmp_path / "base", 90.0), write_run_dir(tmp_path / "treat", 95.0)]
-        args = ["compare", "--baseline", dirs[0], "--treatment", dirs[1], "--out"]
-        assert main(args + [str(tmp_path / "c.md")]) == EXIT_OK
-        assert main(args + [str(tmp_path / "alpha.md"), "--alpha", "0.05"]) == EXIT_USAGE
-        assert not (tmp_path / "alpha.md").exists()
+        args = ["compare", "--baseline", dirs[0], "--treatment", dirs[1]]
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out.startswith("|")
+        assert main(args + ["--alpha", "0.05"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "compare", "cost"])
+    def test_text_commands_take_no_out(self, tmp_path, capsys, command):
+        # text goes to stdout alone; a shell redirect puts it in a file
+        dirs = [write_run_dir(tmp_path / "base", 90.0), write_run_dir(tmp_path / "treat", 95.0)]
+        argv = {
+            "analyze": ["analyze", "--in", str(tmp_path / "w.wmat")],
+            "sweep": ["sweep", "--sizes", "16", "--trials", "2"],
+            "compare": ["compare", "--baseline", dirs[0], "--treatment", dirs[1]],
+            "cost": ["cost", "--sizes", "32", "--reps", "1"],
+        }[command]
+        assert main(["init", "--method", "kaiming-uniform", "--rows", "4", "--cols", "4",
+                     "--out", str(tmp_path / "w.wmat")]) == EXIT_OK
+        assert main(argv + ["--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+        assert capsys.readouterr().out == ""
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["analyze", "--in", "{r}", "--json"],
+             "4d14c2da8b42f1d84c275147a2ecee21a6f80bacc5e965a2854247f9806a7893"),
+            (["analyze", "--in", "{r}", "--side", "output"],
+             "d5905f4a9e6389905fbb24f9873b29e918169139cb629ad5cb818666379fac0d"),
+            (["sweep", "--sizes", "16,32", "--trials", "2", "--seed", "5"],
+             "01246a46e47110359f75435ad3c938ac6a8c219b605b955fbbcd077b4d40f64c"),
+        ],
+        ids=["analyze-json", "analyze", "sweep"],
+    )
+    def test_text_output_bytes(self, tmp_path, capsys, argv, digest):
+        # the digests of what these arguments wrote through the retired --out
+        w, r = str(tmp_path / "w.wmat"), str(tmp_path / "r.wmat")
+        assert main(["init", "--method", "kaiming-uniform", "--rows", "32", "--cols", "16",
+                     "--seed", "7", "--out", w]) == EXIT_OK
+        assert main(["rewire", "--in", w, "--out", r, "--seed", "7"]) == EXIT_OK
+        capsys.readouterr()
+        assert main([a.format(r=r) for a in argv]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # Each case sets up a file failure in tmp_path and returns the CLI's argv
@@ -648,15 +754,7 @@ FILE_FAILURES = {
 @pytest.mark.parametrize("case", FILE_FAILURES.values(), ids=FILE_FAILURES.keys())
 def test_file_failure_exits_2_with_one_line(tmp_path, case):
     argv, fragment = case(tmp_path)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "strength_init.cli", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_cli(argv, text=True)
     assert proc.returncode == EXIT_DATA, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()

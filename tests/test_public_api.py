@@ -155,10 +155,10 @@ def test_configuration_surface():
     assert options == {
         "init": ["--method", "--rows", "--cols", "--gain", "--out", *stream],
         "rewire": ["--in", "--out", "--passes", *stream],
-        "analyze": ["--in", "--side", "--json", "--out"],
-        "sweep": ["--method", "--sizes", "--trials", "--out", "--seed"],
-        "compare": ["--baseline", "--treatment", "--format", "--out"],
-        "cost": ["--sizes", "--reps", "--out", "--seed"],
+        "analyze": ["--in", "--side", "--json"],
+        "sweep": ["--method", "--sizes", "--trials", "--seed"],
+        "compare": ["--baseline", "--treatment", "--format"],
+        "cost": ["--sizes", "--reps", "--seed"],
         "run": ["--manifest"],
     }
     fmt = next(a for a in commands.choices["compare"]._actions if a.dest == "format")
