@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .initializers import METHODS, InitSpec, init
@@ -139,11 +140,11 @@ def _cmd_rewire(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    stats = strength_stats(load_matrix(args.infile), args.side)
+    stats = asdict(strength_stats(load_matrix(args.infile), args.side))
     if args.json:
-        sys.stdout.write(json.dumps(stats.to_dict(), indent=2) + "\n")
+        sys.stdout.write(json.dumps(stats, indent=2) + "\n")
     else:
-        lines = [f"{k} = {v}" for k, v in stats.to_dict().items()]
+        lines = [f"{k} = {v}" for k, v in stats.items()]
         sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

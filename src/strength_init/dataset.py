@@ -1,14 +1,15 @@
 """IDX image/label ingestion and deterministic data splits.
 
-The IDX container stores big-endian 32-bit header fields followed by a
-uint8 payload: the magic number, whose low byte is the rank, then one
-field per dimension. Images carry magic 0x00000803 and (count, rows,
-cols), labels carry magic 0x00000801 and (count,). Files may be plain or
-gzip-compressed (detected by the .gz suffix). Pixels are flattened and
-load_named_dataset keeps them uint8. pixels_to_float is the one rule
-that scales them to float64 in [0, 1]: training applies it one batch or
-evaluation chunk at a time, so no float64 copy of a dataset is held.
-Labels stay integer class ids.
+The module reads IDX files and writes none; demos/05_train_and_compare.py
+shows how to write them. The IDX container stores big-endian 32-bit
+header fields followed by a uint8 payload: the magic number, whose low
+byte is the rank, then one field per dimension. Images carry magic
+0x00000803 and (count, rows, cols), labels carry magic 0x00000801 and
+(count,). Files may be plain or gzip-compressed (detected by the .gz
+suffix). Pixels are flattened and load_named_dataset keeps them uint8.
+pixels_to_float is the one rule that scales them to float64 in [0, 1]:
+training applies it one batch or evaluation chunk at a time, so no
+float64 copy of a dataset is held. Labels stay integer class ids.
 
 A file that breaks the format (a wrong magic, a header or payload of the
 wrong length, a .gz that is not gzip, is cut short or is corrupt) and an
@@ -37,8 +38,6 @@ from .initializers import _int
 
 __all__ = [
     "Dataset",
-    "write_idx_images",
-    "write_idx_labels",
     "split",
     "dataset_paths",
     "load_named_dataset",
@@ -78,19 +77,16 @@ class Dataset:
         return int(self.features.shape[0])
 
 
-def _open(path, mode: str):
-    path = Path(path)
-    if path.suffix == ".gz":
-        # fixed mtime so identical content gives identical bytes
-        return gzip.GzipFile(path, mode, mtime=0)
-    return open(path, mode)
+def _open(path):
+    """A binary reader of `path`, decompressing when it ends in .gz."""
+    return gzip.open(path) if Path(path).suffix == ".gz" else open(path, "rb")
 
 
 def _read_idx(path, magic: int, kind: str) -> np.ndarray:
     """The uint8 array of an IDX file that must carry `magic`."""
     rank = magic & 0xFF
     try:
-        with _open(path, "rb") as f:
+        with _open(path) as f:
             header = f.read(4 * (rank + 1))
             payload = f.read()
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
@@ -105,26 +101,6 @@ def _read_idx(path, magic: int, kind: str) -> np.ndarray:
     if len(payload) != size:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, header declares {size}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape).copy()
-
-
-def _write_idx(path, data, magic: int, kind: str) -> None:
-    arr = np.ascontiguousarray(data, dtype=np.uint8)
-    rank = magic & 0xFF
-    if arr.ndim != rank:
-        raise ValueError(f"{kind} must be {rank}-D, got ndim={arr.ndim}")
-    with _open(path, "wb") as f:
-        f.write(struct.pack(f">{rank + 1}i", magic, *arr.shape))
-        f.write(arr.tobytes())
-
-
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Write a (count, rows, cols) uint8 cube in IDX image format."""
-    _write_idx(path, images, _IMAGE_MAGIC, "images")
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    """Write a (count,) uint8 vector in IDX label format."""
-    _write_idx(path, labels, _LABEL_MAGIC, "labels")
 
 
 def _load_idx_pixels(images_path, labels_path) -> Dataset:

@@ -11,7 +11,7 @@ tails grow with layer size even when the weights themselves are bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class StrengthStats:
     skewness: float
     excess_kurtosis: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def strength_stats(m, side: str = "input") -> StrengthStats:
     """Strength-distribution summary for one side of a layer.
@@ -68,15 +65,17 @@ def strength_stats(m, side: str = "input") -> StrengthStats:
     Skewness and excess kurtosis are 0 for a constant strength vector.
     """
     v = strengths(m, side)
-    mu = float(v.mean())
+    n = v.size
+    hi, lo = float(v.max()), float(v.min())
+    mu = float(v.sum() / n)  # each moment is sum / n, the arithmetic of np.mean
     # an exactly constant vector has zero deviations, not the rounding
     # noise of v - mean, so all its central moments are exactly 0
-    d = np.zeros_like(v) if v.max() == v.min() else v - mu
+    d = np.zeros_like(v) if hi == lo else v - mu
     d2 = d * d
     d3 = d2 * d
-    m2 = float(np.mean(d2))
-    m3 = float(np.mean(d3))
-    m4 = float(np.mean(d3 * d))
+    m2 = float(d2.sum() / n)
+    m3 = float(d3.sum() / n)
+    m4 = float((d3 * d).sum() / n)
     if m2 > 0.0:
         skew = m3 / m2**1.5
         exk = m4 / (m2 * m2) - 3.0
@@ -84,11 +83,11 @@ def strength_stats(m, side: str = "input") -> StrengthStats:
         skew = 0.0
         exk = 0.0
     return StrengthStats(
-        n=int(v.size),
+        n=n,
         mean=mu,
         variance=m2,
         fourth_central_moment=m4,
-        max_abs=float(np.abs(v).max()),
+        max_abs=abs(max(hi, -lo)),  # abs() turns a -0.0 maximum into 0.0
         skewness=skew,
         excess_kurtosis=exk,
     )

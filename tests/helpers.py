@@ -1,14 +1,24 @@
-"""Helpers shared between test modules: a synthetic IDX dataset and
-unreadable .gz variants of a file, the closed-form oracles the
-initializer and strength tests compare against, and the per-column draw
-the rewiring kernel is checked against."""
+"""Helpers shared between test modules: an IDX writer independent of the
+package's reader, a synthetic IDX dataset and unreadable .gz variants of a
+file, the closed-form oracles the initializer and strength tests compare
+against, and the per-column draw the rewiring kernel is checked against."""
 
 import gzip
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
-from strength_init.dataset import write_idx_images, write_idx_labels
+
+def write_idx(path, data):
+    """Write `data` as a uint8 IDX file: a big-endian header (magic 0x08 in
+    the third byte, the rank in the fourth, then one 32-bit field per
+    dimension) and the raw payload, gzipped when `path` ends in .gz."""
+    arr = np.ascontiguousarray(data, dtype=np.uint8)
+    raw = struct.pack(f">{arr.ndim + 1}i", 0x800 | arr.ndim, *arr.shape) + arr.tobytes()
+    path = Path(path)
+    path.write_bytes(gzip.compress(raw, mtime=0) if path.suffix == ".gz" else raw)
 
 
 def make_synthetic_mnist(root, n_train=240, n_test=40, side=4, seed=0):
@@ -27,10 +37,10 @@ def make_synthetic_mnist(root, n_train=240, n_test=40, side=4, seed=0):
 
     tr_imgs, tr_labs = render(n_train)
     te_imgs, te_labs = render(n_test)
-    write_idx_images(d / "train-images-idx3-ubyte", tr_imgs)
-    write_idx_labels(d / "train-labels-idx1-ubyte", tr_labs)
-    write_idx_images(d / "t10k-images-idx3-ubyte", te_imgs)
-    write_idx_labels(d / "t10k-labels-idx1-ubyte", te_labs)
+    write_idx(d / "train-images-idx3-ubyte", tr_imgs)
+    write_idx(d / "train-labels-idx1-ubyte", tr_labs)
+    write_idx(d / "t10k-images-idx3-ubyte", te_imgs)
+    write_idx(d / "t10k-labels-idx1-ubyte", te_labs)
     return root
 
 

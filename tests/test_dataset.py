@@ -6,15 +6,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import broken_gzip
+from helpers import broken_gzip, write_idx
 from strength_init.dataset import (
     Dataset,
     dataset_paths,
     load_named_dataset,
     pixels_to_float,
     split,
-    write_idx_images,
-    write_idx_labels,
     _IMAGE_MAGIC,
     _LABEL_MAGIC,
     _load_idx_pixels,
@@ -42,8 +40,8 @@ def idx_pair(tmp_path, rng):
     images = rng.integers(0, 256, size=(40, 5, 5), dtype=np.uint8)
     labels = rng.integers(0, 10, size=40, dtype=np.uint8)
     ipath, lpath = tmp_path / "imgs.idx", tmp_path / "labs.idx"
-    write_idx_images(ipath, images)
-    write_idx_labels(lpath, labels)
+    write_idx(ipath, images)
+    write_idx(lpath, labels)
     return ipath, lpath, images, labels
 
 
@@ -54,16 +52,10 @@ def test_magic_constants():
 
 def test_header_layout_and_rank(tmp_path):
     # big-endian magic (low byte = rank), one 32-bit field per dimension, payload
-    write_idx_labels(tmp_path / "l.idx", np.arange(3, dtype=np.uint8))
-    assert (tmp_path / "l.idx").read_bytes() == bytes.fromhex("00000801 00000003 000102")
-    write_idx_images(tmp_path / "i.idx", np.full((2, 1, 1), 7, dtype=np.uint8))
-    assert (tmp_path / "i.idx").read_bytes() == bytes.fromhex("00000803 00000002 00000001 00000001 0707")
+    (tmp_path / "l.idx").write_bytes(bytes.fromhex("00000801 00000003 000102"))
+    (tmp_path / "i.idx").write_bytes(bytes.fromhex("00000803 00000002 00000001 00000001 0707"))
     npt.assert_array_equal(read_labels(tmp_path / "l.idx"), [0, 1, 2])
-    assert read_images(tmp_path / "i.idx").shape == (2, 1, 1)
-    with pytest.raises(ValueError):
-        write_idx_labels(tmp_path / "bad.idx", np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        write_idx_images(tmp_path / "bad.idx", np.zeros(3))
+    npt.assert_array_equal(read_images(tmp_path / "i.idx"), np.full((2, 1, 1), 7))
 
 
 def test_round_trip(idx_pair):
@@ -83,8 +75,8 @@ def test_scaling_bounds(idx_pair):
 
 
 def test_all_zero_payload(tmp_path):
-    write_idx_images(tmp_path / "z.idx", np.zeros((3, 4, 4), dtype=np.uint8))
-    write_idx_labels(tmp_path / "zl.idx", np.zeros(3, dtype=np.uint8))
+    write_idx(tmp_path / "z.idx", np.zeros((3, 4, 4), dtype=np.uint8))
+    write_idx(tmp_path / "zl.idx", np.zeros(3, dtype=np.uint8))
     ds = load_idx(tmp_path / "z.idx", tmp_path / "zl.idx")
     assert not ds.features.any()
 
@@ -120,8 +112,8 @@ def test_labels_need_a_first_axis_as_long_as_the_rows(labels):
 
 
 def test_count_mismatch(tmp_path, rng):
-    write_idx_images(tmp_path / "i.idx", rng.integers(0, 255, (5, 2, 2), dtype=np.uint8))
-    write_idx_labels(tmp_path / "l.idx", rng.integers(0, 10, 7, dtype=np.uint8))
+    write_idx(tmp_path / "i.idx", rng.integers(0, 255, (5, 2, 2), dtype=np.uint8))
+    write_idx(tmp_path / "l.idx", rng.integers(0, 10, 7, dtype=np.uint8))
     with pytest.raises(ValueError, match="has 5 images but .* has 7 labels"):
         load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
 
@@ -141,8 +133,8 @@ def test_truncated_payload(tmp_path, idx_pair):
 def test_gzip_round_trip(tmp_path, rng):
     images = rng.integers(0, 256, size=(6, 3, 3), dtype=np.uint8)
     labels = rng.integers(0, 10, size=6, dtype=np.uint8)
-    write_idx_images(tmp_path / "i.idx.gz", images)
-    write_idx_labels(tmp_path / "l.idx.gz", labels)
+    write_idx(tmp_path / "i.idx.gz", images)
+    write_idx(tmp_path / "l.idx.gz", labels)
     ds = load_idx(tmp_path / "i.idx.gz", tmp_path / "l.idx.gz")
     npt.assert_allclose(ds.features, images.reshape(6, 9) / 255.0)
 
@@ -210,10 +202,10 @@ class TestNamedDataset:
         d = root / name
         d.mkdir(parents=True)
         rng = np.random.default_rng(0)
-        write_idx_images(d / "train-images-idx3-ubyte", rng.integers(0, 255, (n_train, 4, 4), dtype=np.uint8))
-        write_idx_labels(d / "train-labels-idx1-ubyte", rng.integers(0, 10, n_train, dtype=np.uint8))
-        write_idx_images(d / "t10k-images-idx3-ubyte", rng.integers(0, 255, (n_test, 4, 4), dtype=np.uint8))
-        write_idx_labels(d / "t10k-labels-idx1-ubyte", rng.integers(0, 10, n_test, dtype=np.uint8))
+        write_idx(d / "train-images-idx3-ubyte", rng.integers(0, 255, (n_train, 4, 4), dtype=np.uint8))
+        write_idx(d / "train-labels-idx1-ubyte", rng.integers(0, 10, n_train, dtype=np.uint8))
+        write_idx(d / "t10k-images-idx3-ubyte", rng.integers(0, 255, (n_test, 4, 4), dtype=np.uint8))
+        write_idx(d / "t10k-labels-idx1-ubyte", rng.integers(0, 10, n_test, dtype=np.uint8))
 
     def test_load(self, tmp_path):
         self._write_named(tmp_path, "mnist")
@@ -222,6 +214,23 @@ class TestNamedDataset:
         assert test.n == 10
         assert train.features.dtype == test.features.dtype == np.uint8
         assert train.features.shape == (30, 16)
+
+    def test_named_directory_first_and_plain_before_gz(self, tmp_path):
+        # the order dataset_paths documents: <dir>/<name>/ before <dir>/,
+        # and in each directory a plain file before its .gz
+        files = ["train-images-idx3-ubyte", "train-labels-idx1-ubyte", "t10k-images-idx3-ubyte",
+                 "t10k-labels-idx1-ubyte"]
+        layouts = [(tmp_path / "mnist", ""), (tmp_path / "mnist", ".gz"), (tmp_path, ""), (tmp_path, ".gz")]
+        (tmp_path / "mnist").mkdir()
+        for d, suffix in layouts:
+            for f in files:
+                (d / (f + suffix)).touch()
+        # with no fmnist/ directory, fmnist resolves to the flat files, whatever they hold
+        assert set(dataset_paths(tmp_path, "fmnist").values()) == {tmp_path / f for f in files}
+        for d, suffix in layouts:
+            assert set(dataset_paths(tmp_path, "mnist").values()) == {d / (f + suffix) for f in files}
+            for f in files:
+                (d / (f + suffix)).unlink()
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(FileNotFoundError):

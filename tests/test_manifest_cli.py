@@ -12,13 +12,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import broken_gzip, make_synthetic_mnist
+from helpers import broken_gzip, make_synthetic_mnist, write_idx
 
 import strength_init
 import strength_init.manifest as manifest_module
 from strength_init import training
 from strength_init.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from strength_init.dataset import Dataset, load_named_dataset, pixels_to_float, split, write_idx_images
+from strength_init.dataset import Dataset, load_named_dataset, pixels_to_float, split
 from strength_init.manifest import (
     _SCHEDULE,
     ExperimentManifest,
@@ -251,7 +251,7 @@ class TestManifest:
         # 5x5 t10k images against 4x4 training images used to be refused
         # only after every epoch of the baseline arm, in its test evaluation
         data = make_synthetic_mnist(tmp_path / "data")
-        write_idx_images(data / "mnist" / "t10k-images-idx3-ubyte", np.zeros((40, 5, 5), np.uint8))
+        write_idx(data / "mnist" / "t10k-images-idx3-ubyte", np.zeros((40, 5, 5), np.uint8))
         groups = []
         monkeypatch.setattr(training, "_lockstep", lambda *args: groups.append(args))
         mpath = tmp_path / "m.json"

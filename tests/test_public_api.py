@@ -175,8 +175,7 @@ def test_module_surface():
     assert surface == {
         "cli": None,
         "dataset": [
-            "Dataset", "write_idx_images", "write_idx_labels", "split", "dataset_paths",
-            "load_named_dataset", "pixels_to_float",
+            "Dataset", "split", "dataset_paths", "load_named_dataset", "pixels_to_float",
         ],
         "initializers": ["METHODS", "InitSpec", "init"],
         "manifest": ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir"],

@@ -7,7 +7,7 @@ from helpers import predicted_strength_variance
 from strength_init.initializers import InitSpec, init
 from strength_init.rewiring import max_strength_scaling, sweep_rows_to_csv
 from strength_init.rng import derive_stream
-from strength_init.strength import strength_stats, strengths
+from strength_init.strength import StrengthStats, strength_stats, strengths
 
 
 class TestStrengths:
@@ -74,6 +74,39 @@ class TestStats:
         st = strength_stats(m, "input")
         assert st.n == 2
         assert st.variance == 16.0
+
+    @pytest.mark.parametrize(
+        "m, side",
+        [
+            (np.full((6, 4), 0.1), "input"),
+            (np.full((3, 5), -0.0), "output"),
+            (np.array([[-0.5, 1.25, -3.0, 2.0]]), "input"),
+            (np.random.default_rng(8).normal(size=(64, 64)), "input"),
+            (np.random.default_rng(8).normal(size=(64, 64)), "output"),
+        ],
+        ids=["constant", "constant-negative-zero", "one-element", "mixed-64x64-input", "mixed-64x64-output"],
+    )
+    def test_equals_the_mean_and_abs_formulas_exactly(self, m, side):
+        # each moment is a sum over n, as np.mean computes it, and max_abs is
+        # the largest |strength|: the bits match these formulas, signed zeros too
+        v = strengths(m, side)
+        mu = float(np.mean(v))
+        d = np.zeros_like(v) if v.max() == v.min() else v - mu
+        d2 = d * d
+        d3 = d2 * d
+        m2, m3, m4 = float(np.mean(d2)), float(np.mean(d3)), float(np.mean(d3 * d))
+        want = StrengthStats(
+            n=v.size,
+            mean=mu,
+            variance=m2,
+            fourth_central_moment=m4,
+            max_abs=float(np.abs(v).max()),
+            skewness=m3 / m2**1.5 if m2 > 0.0 else 0.0,
+            excess_kurtosis=m4 / (m2 * m2) - 3.0 if m2 > 0.0 else 0.0,
+        )
+        got = strength_stats(m, side)
+        assert got == want
+        assert repr(got) == repr(want)  # == alone takes -0.0 for 0.0
 
     @pytest.mark.parametrize(
         "method",
