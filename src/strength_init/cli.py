@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--rows", required=True, type=int)
     p.add_argument("--cols", required=True, type=int)
-    p.add_argument("--gain", type=float, default=1.0)
     p.add_argument("--out", required=True)
     _add_stream_args(p)
 
@@ -127,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_init(args) -> int:
     stream = derive_stream(args.seed, args.layer, args.rep)
-    w = init(InitSpec(args.method, args.rows, args.cols, gain=args.gain), stream)
+    w = init(InitSpec(args.method, args.rows, args.cols), stream)
     save_matrix(w, args.out)
     return EXIT_OK
 

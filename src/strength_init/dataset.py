@@ -143,20 +143,19 @@ def split(dataset: Dataset, test_size: int, rng: np.random.Generator) -> tuple[D
 
 
 def dataset_paths(data_dir, name: str) -> dict[str, Path]:
-    """Resolve the four IDX files for a named dataset under data_dir/name/.
+    """Resolve the four IDX files of a named dataset in data_dir/name/.
 
-    Falls back to data_dir/ itself, and to .gz variants, so both layouts
-    `<dir>/mnist/train-images-idx3-ubyte` and `<dir>/train-images-idx3-ubyte.gz`
-    work.
+    That directory alone is searched, so an MNIST file is never taken for
+    an FMNIST one; each file may be plain or .gz, and the plain one wins.
     """
     if name not in DATASET_NAMES:
         raise ValueError(f"unknown dataset {name!r}, expected one of {DATASET_NAMES}")
-    roots = [Path(data_dir) / name, Path(data_dir)]
+    root = Path(data_dir) / name
     out = {}
     for key, fname in _IDX_FILES.items():
-        found = [c for root in roots for c in (root / fname, root / (fname + ".gz")) if c.exists()]
+        found = [c for c in (root / fname, root / (fname + ".gz")) if c.exists()]
         if not found:
-            raise FileNotFoundError(f"{fname}[.gz] not found under {roots[0]} or {roots[1]}")
+            raise FileNotFoundError(f"{fname}[.gz] not found under {root}")
         out[key] = found[0]
     return out
 

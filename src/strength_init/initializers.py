@@ -10,7 +10,7 @@ scales:
     kaiming-normal    N(0, 2 / n_in)
     truncated-normal  kaiming-normal with |w| <= 3*sigma enforced by
                       rejection resampling (no variance rescaling)
-    orthogonal        semi-orthogonal columns/rows scaled by `gain`
+    orthogonal        semi-orthogonal, so var(W) = 1 / max(n_in, n_out)
 
 Orthogonal's QR goes through LAPACK to BLAS, so it holds _one_blas_thread,
 the package's one BLAS pin: a draw is the same at any OPENBLAS_NUM_THREADS.
@@ -127,7 +127,6 @@ class InitSpec:
     method: str
     rows: int
     cols: int
-    gain: float = 1.0  # orthogonal's scale; every other method refuses a gain but 1.0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -135,10 +134,6 @@ class InitSpec:
         _int(self.rows, "rows"), _int(self.cols, "cols")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"rows and cols must be >= 1, got ({self.rows}, {self.cols})")
-        if not (_real(self.gain) and math.isfinite(self.gain)):
-            raise ValueError(f"gain must be a finite number, got {self.gain!r}")
-        if self.gain != 1.0 and self.method != "orthogonal":
-            raise ValueError(f"only orthogonal takes a gain, {self.method} got gain={self.gain!r}")
 
 
 def init(spec: InitSpec, rng: np.random.Generator) -> np.ndarray:
@@ -157,7 +152,7 @@ def init(spec: InitSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.method == "truncated-normal":
         return _truncated_normal(rows, cols, rng)
     if spec.method == "orthogonal":
-        return _orthogonal(rows, cols, rng, spec.gain)
+        return _orthogonal(rows, cols, rng)
     raise AssertionError(spec.method)
 
 
@@ -171,12 +166,11 @@ def _truncated_normal(rows: int, cols: int, gen: np.random.Generator) -> np.ndar
     return w
 
 
-def _orthogonal(rows: int, cols: int, gen: np.random.Generator, gain: float) -> np.ndarray:
+def _orthogonal(rows: int, cols: int, gen: np.random.Generator) -> np.ndarray:
     big, small = max(rows, cols), min(rows, cols)
     a = gen.normal(0.0, 1.0, size=(big, small))
     with _one_blas_thread():
         q, r = np.linalg.qr(a)
-    # fix signs so the factorization (and hence the draw) is unique, and
-    # scale in the same step: a factor of -1 or 1 commutes exactly with gain
-    q *= np.where(np.diag(r) < 0.0, -gain, gain)
+    # fix signs so the factorization (and hence the draw) is unique
+    q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return np.ascontiguousarray(q.T if rows < cols else q)

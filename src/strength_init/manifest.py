@@ -165,7 +165,7 @@ def _summaries(runs_dir) -> list[dict]:
     return [doc["summary"] for doc in read_run_dir(runs_dir)]
 
 
-def _write_arm_summary(arm_dir: Path, rewire: str) -> None:
+def _write_arm_summary(arm_dir: Path, rewire: str) -> list[dict]:
     summaries = _summaries(arm_dir)
     agg = {}
     for key, _, _ in COMPARE_METRICS:
@@ -177,6 +177,7 @@ def _write_arm_summary(arm_dir: Path, rewire: str) -> None:
         }
     doc = {"rewire": rewire, "repetitions": len(summaries), "aggregate": agg, "runs": summaries}
     (arm_dir / "summary.json").write_text(json.dumps(doc, indent=2) + "\n")
+    return summaries
 
 
 def _compare_run_dirs(baseline_dir, treatment_dir) -> ComparisonReport:
@@ -188,27 +189,27 @@ def run_manifest(manifest: ExperimentManifest) -> int:
     """Execute a manifest end to end; returns 0 on success.
 
     Baseline always runs; the treatment arm and the comparison report are
-    produced only when treatment_rewire is declared. An out_dir that
-    already holds repetition files is refused with ValueError before
-    anything is written, so no old file enters an aggregate.
+    produced only when treatment_rewire is declared. An out_dir that holds
+    repetition files, and data that fail to load, are refused before any write.
     """
     out_dir = Path(manifest.out_dir)
     stale = sorted(out_dir.glob("*/rep_*.jsonl"))
     if stale:
         raise ValueError(f"{out_dir} already holds run files such as {stale[0]}; use a new out_dir")
+    data = _prepare_data(manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(manifest.to_json())
-    data = _prepare_data(manifest)
 
     arms = [("baseline", manifest.baseline_rewire)]
     if manifest.treatment_rewire is not None:
         arms.append(("treatment", manifest.treatment_rewire))
+    summaries = []
     for arm, rewire in arms:
         _run_population(manifest, rewire, out_dir / arm, data)
-        _write_arm_summary(out_dir / arm, rewire)
+        summaries.append(_write_arm_summary(out_dir / arm, rewire))
         plot_export(out_dir / arm)
     if manifest.treatment_rewire is not None:
-        report = _compare_run_dirs(out_dir / "baseline", out_dir / "treatment")
+        report = compare(*summaries)
         (out_dir / "comparison.md").write_text(report.to_markdown())
         (out_dir / "comparison.json").write_text(report.to_json())
     return 0

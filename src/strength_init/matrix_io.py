@@ -21,7 +21,7 @@ the same path then waits for the disk. The first byte is zeroed before
 the payload is written and the header goes last, so a save cut short at
 any point leaves a file that load_matrix refuses. A target that is not a
 regular file, such as /dev/null or a pipe, is written straight through.
-Loading reads a pipe too: a regular file's size is checked against the
+Loading reads a pipe too: a regular file's size is compared with the
 header before the payload is allocated, and a stream's payload is read
 in bounded chunks, so a corrupt header cannot ask for more memory than
 the input holds.

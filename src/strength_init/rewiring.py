@@ -31,7 +31,7 @@ The draw is the exponential race of Efraimidis & Spirakis, "Weighted
 random sampling with a reservoir" (IPL 2006): neuron i gets an
 Exp(1)/P(i) arrival time and the draw order is the arrival order. Its
 per-column form, weighted_draw_order in tests/helpers.py, is the
-reference the blocked passes below are tested against.
+tests' reference for the blocked passes below.
 
 Memory: a rewire holds its output plus a few blocks of scratch, about
 2**16 values each, and never a working copy of the layer. The input-side
@@ -333,7 +333,7 @@ def sweep_rows_to_csv(rows) -> str:
 
 
 def fit_loglog_slope(table) -> float:
-    """Least-squares slope of log(time) against log(n) for a probe table."""
+    """Least-squares slope of log(time) on log(n) for a probe table."""
     rows = [(n, t) for n, t in table]
     if len(rows) < 2:
         raise ValueError("need at least two sizes to fit a slope")

@@ -11,6 +11,7 @@ tails grow with layer size even when the weights themselves are bounded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,35 +60,41 @@ class StrengthStats:
     excess_kurtosis: float
 
 
+def _moments(d: np.ndarray) -> tuple[float, float, float]:
+    d2 = d * d
+    d3 = d2 * d
+    return float(d2.sum() / d.size), float(d3.sum() / d.size), float((d3 * d).sum() / d.size)
+
+
 def strength_stats(m, side: str = "input") -> StrengthStats:
     """Strength-distribution summary for one side of a layer.
 
     Skewness and excess kurtosis are 0 for a constant strength vector.
+    Each moment is sum / n, the arithmetic of np.mean. Strengths whose
+    mean or fourth central moment overflows are refused with ValueError,
+    so every field is finite.
     """
     v = strengths(m, side)
-    n = v.size
     hi, lo = float(v.max()), float(v.min())
-    mu = float(v.sum() / n)  # each moment is sum / n, the arithmetic of np.mean
-    # an exactly constant vector has zero deviations, not the rounding
-    # noise of v - mean, so all its central moments are exactly 0
-    d = np.zeros_like(v) if hi == lo else v - mu
-    d2 = d * d
-    d3 = d2 * d
-    m2 = float(d2.sum() / n)
-    m3 = float(d3.sum() / n)
-    m4 = float((d3 * d).sum() / n)
-    if m2 > 0.0:
-        skew = m3 / m2**1.5
-        exk = m4 / (m2 * m2) - 3.0
-    else:
-        skew = 0.0
-        exk = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mu = float(v.sum() / v.size)
+        # an exactly constant vector has zero deviations, not the rounding
+        # noise of v - mean, so all its central moments are exactly 0
+        d = np.zeros_like(v) if hi == lo else v - mu
+        m2, m3, m4 = _moments(d)
+    if not (math.isfinite(mu) and math.isfinite(m4)):  # m4 >= m2**2, so m4 overflows first
+        raise ValueError(f"{side}-side strengths overflow: mean {mu}, fourth central moment {m4}")
+    # below 2**-255 the largest |deviation| has a subnormal fourth power;
+    # skewness and kurtosis do not depend on scale, so take them from d
+    # times a power of two, which is exact
+    peak = max(hi - mu, mu - lo)
+    s2, s3, s4 = _moments(np.ldexp(d, -math.frexp(peak)[1])) if peak < 2.0**-255 else (m2, m3, m4)
     return StrengthStats(
-        n=n,
+        n=v.size,
         mean=mu,
         variance=m2,
         fourth_central_moment=m4,
         max_abs=abs(max(hi, -lo)),  # abs() turns a -0.0 maximum into 0.0
-        skewness=skew,
-        excess_kurtosis=exk,
+        skewness=s3 / s2**1.5 if s2 > 0.0 else 0.0,
+        excess_kurtosis=s4 / (s2 * s2) - 3.0 if s2 > 0.0 else 0.0,
     )

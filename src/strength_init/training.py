@@ -426,8 +426,7 @@ def _lockstep(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset) -> lis
                 raise TrainingDivergedError(epoch + 1, batch_i + 1, float(losses[r]), rep)
             grads_w, grads_b = _backward(weights, pre, acts, probs, yb)
             for l, g in enumerate(grads_w):
-                for r in range(n_pop):
-                    grad_sums[r, l] += float(np.abs(g[r]).mean())
+                grad_sums[:, l] += np.abs(g).mean(axis=(1, 2))
             n_batches += 1
             # v = _MOMENTUM * v + g; w -= lr * v, with the gradient's
             # buffer reused for lr * v

@@ -170,8 +170,8 @@ def _mnist_or_skip():
         dataset_paths(data_dir, "mnist")
     except FileNotFoundError:
         pytest.skip(
-            f"real MNIST IDX files not found under {data_dir} "
-            "(set STRENGTH_INIT_DATA or place them in ./data/mnist)"
+            f"real MNIST IDX files not found under {data_dir / 'mnist'} "
+            "(place them in <data_dir>/mnist/, where data_dir is $STRENGTH_INIT_DATA or ./data)"
         )
     return data_dir
 

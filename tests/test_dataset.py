@@ -215,22 +215,26 @@ class TestNamedDataset:
         assert train.features.dtype == test.features.dtype == np.uint8
         assert train.features.shape == (30, 16)
 
-    def test_named_directory_first_and_plain_before_gz(self, tmp_path):
-        # the order dataset_paths documents: <dir>/<name>/ before <dir>/,
-        # and in each directory a plain file before its .gz
+    def test_named_directory_only_and_plain_before_gz(self, tmp_path):
+        # dataset_paths reads <dir>/<name>/ alone, and there a plain file
+        # wins over its .gz
         files = ["train-images-idx3-ubyte", "train-labels-idx1-ubyte", "t10k-images-idx3-ubyte",
                  "t10k-labels-idx1-ubyte"]
-        layouts = [(tmp_path / "mnist", ""), (tmp_path / "mnist", ".gz"), (tmp_path, ""), (tmp_path, ".gz")]
-        (tmp_path / "mnist").mkdir()
-        for d, suffix in layouts:
+        named = tmp_path / "mnist"
+        named.mkdir()
+        for d, suffix in [(named, ""), (named, ".gz"), (tmp_path, ""), (tmp_path, ".gz")]:
             for f in files:
                 (d / (f + suffix)).touch()
-        # with no fmnist/ directory, fmnist resolves to the flat files, whatever they hold
-        assert set(dataset_paths(tmp_path, "fmnist").values()) == {tmp_path / f for f in files}
-        for d, suffix in layouts:
-            assert set(dataset_paths(tmp_path, "mnist").values()) == {d / (f + suffix) for f in files}
-            for f in files:
-                (d / (f + suffix)).unlink()
+        assert set(dataset_paths(tmp_path, "mnist").values()) == {named / f for f in files}
+        for f in files:
+            (named / f).unlink()
+        assert set(dataset_paths(tmp_path, "mnist").values()) == {named / (f + ".gz") for f in files}
+        for f in files:
+            (named / (f + ".gz")).unlink()
+        # the flat files alone, plain and .gz, are found for neither name
+        for name in ("mnist", "fmnist"):
+            with pytest.raises(FileNotFoundError, match=f"not found under {re.escape(str(tmp_path / name))}$"):
+                dataset_paths(tmp_path, name)
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -38,17 +38,11 @@ def test_orthogonal_semi_orthogonality(rows, cols):
     assert resid < 1e-8
 
 
-def test_orthogonal_gain_scaling():
-    gain = math.sqrt(2.0)
-    w = init(InitSpec("orthogonal", 40, 16, gain=gain), derive_stream(3, 0, 0))
-    npt.assert_allclose(w.T @ w, gain**2 * np.eye(16), atol=1e-8)
-
-
 def test_orthogonal_wide_draw_peaks_below_four_outputs():
-    # the sign fix and the gain scale the QR factor in place, and only the
-    # transpose of a wide draw is copied: about 3.37 outputs, where numpy's
-    # QR sets the peak (a scaled copy before the transpose made it 4.33)
-    spec = InitSpec("orthogonal", 256, 784, gain=1.5)
+    # the sign fix scales the QR factor in place, and only the transpose
+    # of a wide draw is copied: about 3.37 outputs, where numpy's QR sets
+    # the peak (a scaled copy before the transpose made it 4.33)
+    spec = InitSpec("orthogonal", 256, 784)
     init(spec, derive_stream(6, 0, 0))  # load LAPACK and the BLAS pin outside the trace
     tracemalloc.start()
     try:
@@ -105,29 +99,15 @@ def test_spec_validation():
         InitSpec("kaiming-uniform", 0, 4)
 
 
-@pytest.mark.parametrize(
-    "rows, cols, gain",
-    [(True, 4, 1.0), (8, 4.0, 1.0), (8, np.float64(4), 1.0), (8, "4", 1.0),
-     (8, 4, False), (8, 4, float("nan")), (8, 4, float("inf")), (8, 4, "2")],
-)
-def test_spec_refuses_non_integer_shape_and_bad_gain(rows, cols, gain):
-    # gain=False gave an all-zero matrix, gain=nan an all-NaN one
+@pytest.mark.parametrize("rows, cols", [(True, 4), (8, 4.0), (8, np.float64(4)), (8, "4")])
+def test_spec_refuses_non_integer_shape(rows, cols):
     with pytest.raises(ValueError):
-        InitSpec("orthogonal", rows, cols, gain=gain)
-
-
-def test_only_orthogonal_takes_a_gain():
-    # every other method ignored the gain and drew the gain-1.0 matrix
-    for method in METHODS:
-        if method != "orthogonal":
-            with pytest.raises(ValueError, match="only orthogonal takes a gain"):
-                InitSpec(method, 4, 4, gain=5.0)
-            InitSpec(method, 4, 4, gain=1.0)
+        InitSpec("orthogonal", rows, cols)
 
 
 def test_spec_accepts_numpy_numbers():
-    a = init(InitSpec("orthogonal", np.int64(8), np.int32(4), gain=np.float64(2.0)), derive_stream(1, 0, 0))
-    b = init(InitSpec("orthogonal", 8, 4, gain=2.0), derive_stream(1, 0, 0))
+    a = init(InitSpec("orthogonal", np.int64(8), np.int32(4)), derive_stream(1, 0, 0))
+    b = init(InitSpec("orthogonal", 8, 4), derive_stream(1, 0, 0))
     npt.assert_array_equal(a, b)
 
 

@@ -246,6 +246,19 @@ class TestManifest:
                     "treatment/gradients.csv", "comparison.md", "comparison.json"]:
             assert (out / rel).read_bytes() == (plain / rel).read_bytes(), rel
 
+    def test_each_arm_is_read_twice(self, data_dir, tmp_path, monkeypatch):
+        # once for summary.json, whose records the comparison also takes,
+        # and once for the CSVs
+        reads = []
+
+        def reading(runs_dir):
+            reads.append(Path(runs_dir).name)
+            return read_run_dir(runs_dir)
+
+        monkeypatch.setattr(manifest_module, "read_run_dir", reading)
+        assert run_manifest(tiny_manifest(data_dir, tmp_path / "out", treatment_rewire="pa")) == 0
+        assert reads == ["baseline", "baseline", "treatment", "treatment"]
+
     def test_test_images_of_another_size_refused_before_the_first_batch(self, tmp_path, monkeypatch,
                                                                          capsys):
         # 5x5 t10k images against 4x4 training images used to be refused
@@ -512,12 +525,13 @@ class TestCli:
         assert main(rewire + ["--out", str(x)]) == EXIT_OK
         assert x.read_bytes() == y.read_bytes()
 
-    def test_init_refuses_a_gain_its_method_ignores(self, tmp_path):
+    def test_init_takes_no_gain(self, tmp_path):
+        # every initializer draws at its nominal scale, orthogonal included
         out = tmp_path / "w.wmat"
-        args = ["init", "--method", "kaiming-uniform", "--rows", "4", "--cols", "4", "--out", str(out)]
-        assert main(args + ["--gain", "5"]) == EXIT_DATA
-        assert not out.exists()
-        assert main(args + ["--gain", "1"]) == EXIT_OK
+        for method in ("orthogonal", "kaiming-uniform"):
+            args = ["init", "--method", method, "--rows", "4", "--cols", "4", "--out", str(out)]
+            assert main(args + ["--gain", "2"]) == EXIT_USAGE
+            assert not out.exists()
 
     def test_sweep_csv(self, capsys):
         assert main(["sweep", "--sizes", "16,32", "--trials", "2", "--seed", "5"]) == EXIT_OK
@@ -595,6 +609,26 @@ class TestCli:
         mpath = tmp_path / "m.json"
         mpath.write_text(tiny_manifest(tmp_path / "nothing", tmp_path / "o").to_json())
         assert main(["run", "--manifest", str(mpath)]) == EXIT_DATA
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", ["truncated", "fmnist-over-flat-mnist"])
+    def test_run_on_bad_data_writes_nothing(self, tmp_path, capsys, case):
+        data = make_synthetic_mnist(tmp_path / "data")
+        dataset, fragment = "mnist", "payload holds"
+        if case == "truncated":
+            labels = data / "mnist" / "t10k-labels-idx1-ubyte"
+            labels.write_bytes(labels.read_bytes()[:-1])
+        else:
+            # MNIST files directly under data_dir are not FMNIST's
+            for f in (data / "mnist").iterdir():
+                f.rename(data / f.name)
+            dataset, fragment = "fmnist", f"not found under {data / 'fmnist'}"
+        out = tmp_path / "runs" / "x"
+        mpath = tmp_path / "m.json"
+        mpath.write_text(tiny_manifest(data, out, dataset=dataset).to_json())
+        assert main(["run", "--manifest", str(mpath)]) == EXIT_DATA
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_run_manifest_cli(self, data_dir, tmp_path):
         out = tmp_path / "out"

@@ -25,6 +25,7 @@ import pytest
 
 import strength_init
 from strength_init.cli import build_parser
+from strength_init.initializers import InitSpec
 from strength_init.manifest import ExperimentManifest
 from strength_init.training import TrainConfig
 
@@ -137,6 +138,7 @@ def test_readme_names_every_manifest_field():
 
 def test_configuration_surface():
     # every settable value in one list: adding or dropping an option edits it
+    assert [f.name for f in dataclasses.fields(InitSpec)] == ["method", "rows", "cols"]
     assert [f.name for f in dataclasses.fields(TrainConfig)] == [
         "arch", "epochs", "batch_size", "lr0", "global_seed", "repetition_index", "init_method",
         "rewire",
@@ -153,7 +155,7 @@ def test_configuration_surface():
     }
     stream = ["--seed", "--layer", "--rep"]
     assert options == {
-        "init": ["--method", "--rows", "--cols", "--gain", "--out", *stream],
+        "init": ["--method", "--rows", "--cols", "--out", *stream],
         "rewire": ["--in", "--out", "--passes", *stream],
         "analyze": ["--in", "--side", "--json"],
         "sweep": ["--method", "--sizes", "--trials", "--seed"],

@@ -1,10 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from helpers import predicted_strength_variance
 
+from strength_init.cli import EXIT_DATA, EXIT_OK, main
 from strength_init.initializers import InitSpec, init
+from strength_init.matrix_io import save_matrix
 from strength_init.rewiring import max_strength_scaling, sweep_rows_to_csv
 from strength_init.rng import derive_stream
 from strength_init.strength import StrengthStats, strength_stats, strengths
@@ -107,6 +112,30 @@ class TestStats:
         got = strength_stats(m, side)
         assert got == want
         assert repr(got) == repr(want)  # == alone takes -0.0 for 0.0
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-100, 1e150, 1e307])
+    def test_extreme_scales_give_finite_fields_or_a_data_error(self, tmp_path, scale):
+        w = np.random.default_rng(3).normal(size=(4, 4))
+        path = tmp_path / "w.wmat"
+        save_matrix(w * scale, path)
+        if scale < 1.0:
+            # the deviations' third and fourth powers underflow; skewness
+            # and kurtosis do not depend on scale
+            got, want = strength_stats(w * scale), strength_stats(w)
+            assert all(math.isfinite(f) for f in dataclasses.astuple(got))
+            assert got.skewness == pytest.approx(want.skewness, rel=1e-12)
+            assert got.excess_kurtosis == pytest.approx(want.excess_kurtosis, rel=1e-12)
+            assert main(["analyze", "--in", str(path)]) == EXIT_OK
+        else:
+            # the fourth central moment overflows
+            with pytest.raises(ValueError, match="overflow"):
+                strength_stats(w * scale)
+            assert main(["analyze", "--in", str(path)]) == EXIT_DATA
+
+    def test_overflowing_strengths_refused(self):
+        with np.errstate(over="ignore"):  # the row sums overflow in strengths
+            with pytest.raises(ValueError, match="overflow: mean inf"):
+                strength_stats(np.full((4, 4), 1e308))
 
     @pytest.mark.parametrize(
         "method",
