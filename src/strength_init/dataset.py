@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .initializers import _int
+from ._platform import _int
 
 __all__ = [
     "Dataset",

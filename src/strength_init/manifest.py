@@ -25,11 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ._platform import _int, _ints, _real
 from .dataset import DATASET_NAMES, load_named_dataset, split
-from .initializers import _int, _ints, _real
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import COMPARE_METRICS, ComparisonReport, compare, sample_std
-from .training import MlpArch, RunMetrics, TrainConfig, train_population
+from .training import MlpArch, RunMetrics, TrainConfig, _check_splits, train_population
 
 __all__ = ["ExperimentManifest", "run_manifest", "plot_export", "read_run_dir"]
 
@@ -190,13 +190,15 @@ def run_manifest(manifest: ExperimentManifest) -> int:
 
     Baseline always runs; the treatment arm and the comparison report are
     produced only when treatment_rewire is declared. An out_dir that holds
-    repetition files, and data that fail to load, are refused before any write.
+    repetition files, data that fail to load, and a split the network
+    cannot take are refused before any write.
     """
     out_dir = Path(manifest.out_dir)
     stale = sorted(out_dir.glob("*/rep_*.jsonl"))
     if stale:
         raise ValueError(f"{out_dir} already holds run files such as {stale[0]}; use a new out_dir")
     data = _prepare_data(manifest)
+    _check_splits(MlpArch(manifest.arch), *data)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(manifest.to_json())
 

@@ -40,7 +40,7 @@ import stat
 
 import numpy as np
 
-from .initializers import _ints
+from ._platform import _conform, _ints, _require_finite
 
 __all__ = [
     "save_matrix",
@@ -54,25 +54,6 @@ _HEADER_RE = re.compile(
 )
 _MAX_HEADER_LEN = 128
 _STREAM_CHUNK = 1 << 20
-
-
-def _conform(a, ndim: int, name: str) -> np.ndarray:
-    """`a` as a C-contiguous float64 array of rank `ndim` with every
-    dimension >= 1; aliases `a` when it conforms."""
-    arr = np.asarray(a, dtype=np.float64, order="C")
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-D, got ndim={arr.ndim}")
-    if min(arr.shape) < 1:
-        raise ValueError(f"{name} must have all dims >= 1, got {arr.shape}")
-    return arr
-
-
-def _require_finite(arr: np.ndarray, name: str) -> np.ndarray:
-    """`arr` itself, once every entry is checked to be finite."""
-    if not np.isfinite(arr).all():
-        bad = int(np.count_nonzero(~np.isfinite(arr)))
-        raise ValueError(f"{name} has {bad} non-finite entries")
-    return arr
 
 
 def _validate_matrix(m) -> np.ndarray:

@@ -47,8 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initializers import InitSpec, _int, _ints, init
-from .matrix_io import _conform, _require_finite, conv_to_2d
+from ._platform import _conform, _int, _ints, _require_finite
+from .initializers import InitSpec, init
+from .matrix_io import conv_to_2d
 from .rng import derive_stream
 from .strength import strengths
 

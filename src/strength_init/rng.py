@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .initializers import _int
+from ._platform import _int
 
 __all__ = ["derive_stream"]
 

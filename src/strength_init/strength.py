@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_io import _conform, _require_finite
+from ._platform import _conform, _require_finite
 
 __all__ = [
     "SIDES",
@@ -41,7 +41,9 @@ def strengths(m, side: str = "input") -> np.ndarray:
     if side not in SIDES:
         _require_finite(arr, "matrix")  # a bad matrix is reported before a bad side
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    s = arr.sum(axis=1 if side == "input" else 0)
+    # a sum that overflows is inf, or nan where partial sums of +inf and -inf meet
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = arr.sum(axis=1 if side == "input" else 0)
     if not np.isfinite(s).all():
         _require_finite(arr, "matrix")
     return s

@@ -41,8 +41,9 @@ chunk, so it is part of the bits of val_loss once a split has more than
 1024 rows; accuracies are exact counts.
 
 One check (_check_split) refuses a split the network cannot take, with
-ValueError: train_population runs it on all three splits before any
-member group starts, and evaluate on its own input.
+ValueError. _check_splits runs it on all three splits: train_population
+before any member group starts, and a manifest run before it writes
+anything. evaluate runs it on its own input.
 
 Reproducibility: the package's outputs are bit-identical for a given
 seed on the same platform and numpy/BLAS build. A population trains as
@@ -50,7 +51,7 @@ n = min(R, cores) member groups, cores being the CPUs the process may
 run on: group g holds configs g, g + n, g + 2n, ... Each group is one
 lock-step population on its own thread, the calling thread running the
 first, and OpenBLAS is held at one thread for the whole call (the
-package's one pin, initializers._one_blas_thread, which evaluate also
+package's one pin, _platform._one_blas_thread, which evaluate also
 holds), so the cores run independent GEMMs side by side and the outputs
 of train, train_population, evaluate and a manifest run depend neither
 on n nor on OPENBLAS_NUM_THREADS. Concurrent calls overlap. Where the
@@ -68,8 +69,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._platform import _int, _ints, _one_blas_thread, _real
 from .dataset import Dataset, pixels_to_float
-from .initializers import METHODS, InitSpec, _int, _ints, _one_blas_thread, _real, init
+from .initializers import METHODS, InitSpec, init
 from .rewiring import RewireConfig, pa_rewire, variance_search
 from .rng import BATCH_ORDER_DOMAIN, derive_stream, harness_generator
 
@@ -288,6 +290,13 @@ def _check_split(name, features, labels, n_in, n_out) -> None:
         raise ValueError(f"{name} labels must lie in [0, {n_out}), found {labels.min()}..{labels.max()}")
 
 
+def _check_splits(arch: MlpArch, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset) -> None:
+    """_check_split on each of the three splits a population trains on."""
+    sizes = arch.layer_sizes
+    for name, ds in (("train", train_ds), ("validation", val_ds), ("test", test_ds)):
+        _check_split(name, ds.features, ds.labels, sizes[0], sizes[-1])
+
+
 def evaluate(weights, biases, features, labels):
     """(accuracy in percent, mean loss) of each member of a population.
 
@@ -352,9 +361,7 @@ def train_population(cfgs, train_ds: Dataset, val_ds: Dataset, test_ds: Dataset)
     for cfg in cfgs[1:]:
         if any(getattr(cfg, f) != getattr(head, f) for f in _SHARED_FIELDS):
             raise ValueError(f"population members must share {', '.join(_SHARED_FIELDS)}")
-    sizes = head.arch.layer_sizes
-    for name, ds in (("train", train_ds), ("validation", val_ds), ("test", test_ds)):
-        _check_split(name, ds.features, ds.labels, sizes[0], sizes[-1])
+    _check_splits(head.arch, train_ds, val_ds, test_ds)
     with _one_blas_thread() as pinned:
         n = min(len(cfgs), len(os.sched_getaffinity(0))) if pinned else 1
         results, errors = [None] * n, [None] * n

@@ -611,18 +611,31 @@ class TestCli:
         assert main(["run", "--manifest", str(mpath)]) == EXIT_DATA
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("case", ["truncated", "fmnist-over-flat-mnist"])
+    @pytest.mark.parametrize(
+        "case", ["truncated", "fmnist-over-flat-mnist", "label-12", "test-images-5x5"]
+    )
     def test_run_on_bad_data_writes_nothing(self, tmp_path, capsys, case):
         data = make_synthetic_mnist(tmp_path / "data")
+        mnist = data / "mnist"
         dataset, fragment = "mnist", "payload holds"
         if case == "truncated":
-            labels = data / "mnist" / "t10k-labels-idx1-ubyte"
+            labels = mnist / "t10k-labels-idx1-ubyte"
             labels.write_bytes(labels.read_bytes()[:-1])
-        else:
+        elif case == "fmnist-over-flat-mnist":
             # MNIST files directly under data_dir are not FMNIST's
-            for f in (data / "mnist").iterdir():
+            for f in mnist.iterdir():
                 f.rename(data / f.name)
             dataset, fragment = "fmnist", f"not found under {data / 'fmnist'}"
+        elif case == "label-12":
+            # the files load, but the 16-8-10 network cannot take the split
+            labels = mnist / "t10k-labels-idx1-ubyte"
+            raw = bytearray(labels.read_bytes())
+            raw[8] = 12  # the first label, after the 8-byte IDX header
+            labels.write_bytes(bytes(raw))
+            fragment = "test labels must lie in [0, 10), found 0..12"
+        else:
+            write_idx(mnist / "t10k-images-idx3-ubyte", np.zeros((40, 5, 5), dtype=np.uint8))
+            fragment = "test features must be (n, 16) for the network, got (40, 25)"
         out = tmp_path / "runs" / "x"
         mpath = tmp_path / "m.json"
         mpath.write_text(tiny_manifest(data, out, dataset=dataset).to_json())

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from strength_init import initializers, training
+from strength_init import _platform, training
 from strength_init.dataset import Dataset, pixels_to_float, split
 from strength_init.initializers import InitSpec, init
 from strength_init.manifest import ExperimentManifest, _rep_records, _run_population
@@ -268,7 +268,7 @@ def test_more_groups_than_cores_write_the_bytes_of_one_group(monkeypatch, splits
 
 
 def _blas_threads():
-    funcs = initializers._openblas_thread_functions()
+    funcs = _platform._openblas_thread_functions()
     if funcs is None:
         pytest.skip("numpy's OpenBLAS thread functions are not found; populations train as one group")
     return funcs
@@ -407,7 +407,7 @@ def test_pin_counts_holders_across_many_threads():
     def hold():
         start.wait()
         for _ in range(20000):
-            with initializers._one_blas_thread():
+            with _platform._one_blas_thread():
                 if get() != 1:
                     wrong.append(get())
 

@@ -6,7 +6,8 @@ The demos and the README's python blocks are parsed, not run; so are the
 README's ``strength-init`` command lines, against the CLI's own parser, and
 its JSON blocks, as experiment manifests. Every manifest field is named in
 the README. The configuration surface (every config field and CLI option)
-is pinned in one list, and so is every module's public surface.
+is pinned in one list, and so are every module's public surface and the
+package modules each module imports.
 """
 
 import argparse
@@ -175,6 +176,7 @@ def test_module_surface():
         for m in pkgutil.iter_modules(strength_init.__path__)
     }
     assert surface == {
+        "_platform": None,
         "cli": None,
         "dataset": [
             "Dataset", "split", "dataset_paths", "load_named_dataset", "pixels_to_float",
@@ -197,4 +199,48 @@ def test_module_surface():
             "MlpArch", "TrainConfig", "RunMetrics", "TrainingDivergedError", "build_layer_weights",
             "train", "train_population", "evaluate",
         ],
+    }
+
+
+def _package_imports(path: Path) -> list[str]:
+    """The package modules a module imports, "__init__" for the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module)
+            else:  # `from . import x`: x is a module or a name of __init__
+                found.update(a.name if a.name in MODULES else "__init__" for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            for name in names:
+                if name and name.split(".")[0] == "strength_init":
+                    found.add(name.partition(".")[2].split(".")[0] or "__init__")
+    return sorted(found)
+
+
+def test_internal_import_graph():
+    # the package modules each module imports: adding or dropping an edge
+    # edits it. _platform, the leaf, imports none, so any module may use it
+    package = Path(strength_init.__file__).resolve().parent
+    graph = {path.stem: _package_imports(path) for path in sorted(package.glob("*.py"))}
+    assert graph == {
+        "__init__": [
+            "dataset", "initializers", "manifest", "matrix_io", "rewiring", "rng", "stats",
+            "strength", "training",
+        ],
+        "_platform": [],
+        "cli": [
+            "__init__", "initializers", "manifest", "matrix_io", "rewiring", "rng", "strength",
+            "training",
+        ],
+        "dataset": ["_platform"],
+        "initializers": ["_platform"],
+        "manifest": ["_platform", "dataset", "rng", "stats", "training"],
+        "matrix_io": ["_platform"],
+        "rewiring": ["_platform", "initializers", "matrix_io", "rng", "strength"],
+        "rng": ["_platform"],
+        "stats": [],
+        "strength": ["_platform"],
+        "training": ["_platform", "dataset", "initializers", "rewiring", "rng"],
     }

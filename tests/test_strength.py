@@ -54,9 +54,14 @@ class TestStrengths:
             strengths(np.eye(2), "both")
 
     def test_finite_entries_whose_sum_overflows_are_accepted(self):
-        with np.errstate(over="ignore"):
-            s = strengths(np.full((2, 2), 1e308), "input")
+        # no warning either: pytest turns a RuntimeWarning into a failure
+        s = strengths(np.full((2, 2), 1e308), "input")
         assert np.isposinf(s).all()
+        # numpy (2.x) sums a row in eight interleaved partial sums, so here
+        # two of them overflow to +inf and -inf and meet as nan
+        m = np.zeros((1, 16))
+        m[0, [0, 8]], m[0, [1, 9]] = 1e308, -1e308
+        assert not np.isfinite(strengths(m, "input")).any()
 
 
 class TestStats:
@@ -132,10 +137,17 @@ class TestStats:
                 strength_stats(w * scale)
             assert main(["analyze", "--in", str(path)]) == EXIT_DATA
 
-    def test_overflowing_strengths_refused(self):
-        with np.errstate(over="ignore"):  # the row sums overflow in strengths
-            with pytest.raises(ValueError, match="overflow: mean inf"):
-                strength_stats(np.full((4, 4), 1e308))
+    def test_overflowing_strengths_refused(self, tmp_path, capsys):
+        # the row sums overflow in strengths, without a RuntimeWarning, so
+        # analyze prints the data error alone
+        m = np.full((4, 4), 1e308)
+        with pytest.raises(ValueError, match="overflow: mean inf"):
+            strength_stats(m)
+        path = tmp_path / "w.wmat"
+        save_matrix(m, path)
+        assert main(["analyze", "--in", str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "overflow: mean inf" in err, err
 
     @pytest.mark.parametrize(
         "method",
