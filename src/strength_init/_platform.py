@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import numbers
 import operator
 import threading
@@ -40,8 +41,13 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return tuple(_int(v, what) for v in items)
 
 
-def _real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _finite(value) -> bool:
+    """Whether `value` is a finite real number; bools, NaN, Infinity and
+    integers past the largest float are not."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _conform(a, ndim: int, name: str) -> np.ndarray:

@@ -73,10 +73,11 @@ def init(spec: InitSpec, rng: np.random.Generator) -> np.ndarray:
 def _truncated_normal(rows: int, cols: int, gen: np.random.Generator) -> np.ndarray:
     sigma = math.sqrt(2.0 / rows)
     w = gen.normal(0.0, sigma, size=(rows, cols))
-    bad = np.abs(w) > 3.0 * sigma
-    while bad.any():
-        w[bad] = gen.normal(0.0, sigma, size=int(bad.sum()))
-        bad = np.abs(w) > 3.0 * sigma
+    # redraw the out-of-range entries in flat order, re-checking only those
+    bad = np.flatnonzero(np.abs(w) > 3.0 * sigma)
+    while bad.size:
+        w.flat[bad] = gen.normal(0.0, sigma, size=bad.size)
+        bad = bad[np.abs(w.flat[bad]) > 3.0 * sigma]
     return w
 
 

@@ -18,14 +18,13 @@ compare` computes its report. Both arms share one split of uint8 pixels.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from ._platform import _int, _ints, _real
+from ._platform import _finite, _int, _ints
 from .dataset import DATASET_NAMES, load_named_dataset, split
 from .rng import SPLIT_DOMAIN, harness_generator
 from .stats import COMPARE_METRICS, ComparisonReport, compare, sample_std
@@ -38,7 +37,7 @@ DATA_ENV_VAR = "STRENGTH_INIT_DATA"
 # The manifest fields every repetition's TrainConfig takes as they are;
 # TrainConfig keeps their defaults.
 _SCHEDULE = ("init_method", "global_seed", "epochs", "batch_size", "lr0")
-_CURVE_KEYS = ("train_acc", "val_acc", "val_loss")  # curves.csv's columns, in order
+_CURVE_KEYS = ("train_acc", "val_acc", "val_loss")  # RunMetrics fields, curves.csv's columns, in order
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,8 @@ class ExperimentManifest:
         # arm's TrainConfig checks arch, init, rewire and schedule
         if self.dataset not in DATASET_NAMES:
             raise ValueError(f"unknown dataset {self.dataset!r}, expected one of {DATASET_NAMES}")
-        self.train_config(self.baseline_rewire, 0)
+        # lr0 as the plain float TrainConfig stores, so to_json can write it
+        object.__setattr__(self, "lr0", self.train_config(self.baseline_rewire, 0).lr0)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.treatment_rewire is not None:
@@ -133,9 +133,7 @@ def _rep_records(m: RunMetrics) -> list[dict]:
         {
             "type": "epoch",
             "epoch": e + 1,
-            "train_acc": m.train_acc[e],
-            "val_acc": m.val_acc[e],
-            "val_loss": m.val_loss[e],
+            **{key: getattr(m, key)[e] for key in _CURVE_KEYS},
             "lr": m.lr[e],
             "grad_abs_mean": m.grad_abs_mean[e],
         }
@@ -217,23 +215,19 @@ def run_manifest(manifest: ExperimentManifest) -> int:
     return 0
 
 
-def _rep_files(runs_dir: Path) -> list[Path]:
-    files = sorted(runs_dir.glob("rep_*.jsonl"), key=lambda p: (len(p.name), p.name))
-    if not files:
-        raise FileNotFoundError(f"no rep_*.jsonl metric files in {runs_dir}")
-    return files
-
-
 def read_run_dir(runs_dir) -> list[dict]:
-    """Load every rep_*.jsonl in a directory into {records, summary} docs,
-    in repetition order (rep_999 before rep_1000).
+    """Load every rep_*.jsonl in a directory into {path, records, summary}
+    docs, path being the file, in repetition order (rep_999 before rep_1000).
 
     A line that is not a JSON object, and a file without a summary record
     holding every COMPARE_METRICS key as a finite number (not a bool, NaN
     or Infinity), are refused with ValueError naming the file.
     """
+    files = sorted(Path(runs_dir).glob("rep_*.jsonl"), key=lambda p: (len(p.name), p.name))
+    if not files:
+        raise FileNotFoundError(f"no rep_*.jsonl metric files in {runs_dir}")
     docs = []
-    for fp in _rep_files(Path(runs_dir)):
+    for fp in files:
         records = []
         summary = None
         with open(fp) as f:
@@ -253,31 +247,11 @@ def read_run_dir(runs_dir) -> list[dict]:
         missing = [key for key, _, _ in COMPARE_METRICS if key not in summary]
         if missing:
             raise ValueError(f"{fp}: summary record lacks {missing}")
-        bad = {key: summary[key] for key, _, _ in COMPARE_METRICS
-               if not (_real(summary[key]) and math.isfinite(summary[key]))}
+        bad = {key: summary[key] for key, _, _ in COMPARE_METRICS if not _finite(summary[key])}
         if bad:
             raise ValueError(f"{fp}: summary metrics must be finite numbers, got {bad}")
-        docs.append({"records": records, "summary": summary})
+        docs.append({"path": fp, "records": records, "summary": summary})
     return docs
-
-
-def _check_epoch_records(runs_dir: Path, docs: list[dict]) -> None:
-    """Refuse a file with no epoch records, another epoch or layer count
-    than the first file's, or a record lacking a key plot_export reads."""
-    first = docs[0]["records"]
-    for fp, doc in zip(_rep_files(runs_dir), docs, strict=True):
-        records = doc["records"]
-        if not records:
-            raise ValueError(f"{fp} has no epoch records")
-        if len(records) != len(first):
-            raise ValueError(f"{fp} has {len(records)} epoch records, the first file {len(first)}")
-        for rec in records:
-            lacking = [key for key in (*_CURVE_KEYS, "grad_abs_mean") if key not in rec]
-            if lacking:
-                raise ValueError(f"{fp}: an epoch record lacks {lacking}")
-            if len(rec["grad_abs_mean"]) != len(first[0]["grad_abs_mean"]):
-                raise ValueError(f"{fp}: an epoch record has {len(rec['grad_abs_mean'])} layers, "
-                                 f"the first file {len(first[0]['grad_abs_mean'])}")
 
 
 def plot_export(runs_dir) -> list[Path]:
@@ -287,31 +261,42 @@ def plot_export(runs_dir) -> list[Path]:
     validation loss) and gradients.csv (per-epoch per-layer mean and std
     of the absolute weight gradient). Returns the written paths.
 
-    A run file whose epoch records cannot be aggregated with the first
+    Each file's epoch records become one (epochs, curve keys) array and
+    one (epochs, layers) array of numbers. A file whose arrays cannot be
+    built (no epoch records, a missing key, a value that is not a finite
+    number, ragged gradients) or are shaped otherwise than the first
     file's is refused with ValueError naming it.
     """
     runs_dir = Path(runs_dir)
-    docs = read_run_dir(runs_dir)
-    _check_epoch_records(runs_dir, docs)
-    n_epochs = len(docs[0]["records"])
+    curves, grads = [], []
+    for doc in read_run_dir(runs_dir):
+        try:
+            c = [[rec[key] for key in _CURVE_KEYS] for rec in doc["records"]]
+            g = [list(rec["grad_abs_mean"]) for rec in doc["records"]]
+            if not c:
+                raise ValueError("no epoch records")
+            if not all(_finite(v) for row in c + g for v in row):
+                raise ValueError("a curve value or gradient entry is not a finite number")
+            c, g = np.array(c, dtype=np.float64), np.array(g, dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{doc['path']}: cannot aggregate its epoch records ({exc!r})") from exc
+        if curves and (c.shape, g.shape) != (curves[0].shape, grads[0].shape):
+            raise ValueError(f"{doc['path']}: epoch arrays of shapes {c.shape} and {g.shape}, "
+                             f"the first file's {curves[0].shape} and {grads[0].shape}")
+        curves.append(c)
+        grads.append(g)
+    curves, grads = np.stack(curves), np.stack(grads)
 
-    def column(key):
-        return np.asarray([[doc["records"][e][key] for e in range(n_epochs)] for doc in docs])
-
-    columns = [column(key) for key in _CURVE_KEYS]
-    lines = ["epoch,train_acc_mean,train_acc_std,val_acc_mean,val_acc_std,val_loss_mean,val_loss_std"]
-    for e in range(n_epochs):
-        cells = [f"{a[:, e].mean():.17g},{sample_std(a[:, e]):.17g}" for a in columns]
-        lines.append(f"{e + 1}," + ",".join(cells))
-    curves = runs_dir / "curves.csv"
-    curves.write_text("\n".join(lines) + "\n")
-
-    n_layers = len(docs[0]["records"][0]["grad_abs_mean"])
+    # each mean and std reduces one 1-D column (a[:, e, k]), whose bits do not depend on
+    # its stride; a reduction over axis 0 would group the sums of 8 or more runs otherwise
+    lines = ["epoch," + ",".join(f"{key}_mean,{key}_std" for key in _CURVE_KEYS)]
     glines = ["epoch,layer,grad_abs_mean,grad_abs_std"]
-    for e in range(n_epochs):
-        for l in range(n_layers):
-            col = np.asarray([doc["records"][e]["grad_abs_mean"][l] for doc in docs])
-            glines.append(f"{e + 1},{l},{col.mean():.17g},{sample_std(col):.17g}")
-    gradients = runs_dir / "gradients.csv"
-    gradients.write_text("\n".join(glines) + "\n")
-    return [curves, gradients]
+    for e in range(curves.shape[1]):
+        cells = [f"{a.mean():.17g},{sample_std(a):.17g}" for a in curves[:, e].T]
+        lines.append(f"{e + 1}," + ",".join(cells))
+        glines += [f"{e + 1},{l},{a.mean():.17g},{sample_std(a):.17g}"
+                   for l, a in enumerate(grads[:, e].T)]
+    paths = [runs_dir / "curves.csv", runs_dir / "gradients.csv"]
+    for path, rows in zip(paths, (lines, glines)):
+        path.write_text("\n".join(rows) + "\n")
+    return paths

@@ -258,14 +258,17 @@ def compare(baseline, treatment) -> ComparisonReport:
 
     `baseline` and `treatment` are sequences of run summary dicts (the
     summary records of rep_*.jsonl files, as a manifest run writes them
-    and read_run_dir reads them) with at least two runs each; each dict
-    holds epoch1_train_acc, epoch1_val_acc, convergence_epoch and
-    test_acc. Population sizes may differ (the tests are unpaired), but a
-    size mismatch is worth a warning since paired seeds are the usual
-    setup.
+    and read_run_dir reads them) with at least two runs each, or
+    ValueError names the short arm; each dict holds epoch1_train_acc,
+    epoch1_val_acc, convergence_epoch and test_acc. Population sizes may
+    differ (the tests are unpaired), but a size mismatch is worth a
+    warning since paired seeds are the usual setup.
     """
     baseline = list(baseline)
     treatment = list(treatment)
+    for arm, runs in (("baseline", baseline), ("treatment", treatment)):
+        if len(runs) < 2:
+            raise ValueError(f"the {arm} arm needs at least 2 runs, got {len(runs)}")
     if len(baseline) != len(treatment):
         warnings.warn(
             f"population sizes differ ({len(baseline)} vs {len(treatment)}); "

@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._platform import _int, _ints, _one_blas_thread, _real
+from ._platform import _finite, _int, _ints, _one_blas_thread
 from .dataset import Dataset, pixels_to_float
 from .initializers import METHODS, InitSpec, init
 from .rewiring import RewireConfig, pa_rewire, variance_search
@@ -148,8 +148,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.init_method not in METHODS:
             raise ValueError(f"unknown init method {self.init_method!r}")
-        if not (_real(self.lr0) and 0.0 < self.lr0 < math.inf):
+        if not (_finite(self.lr0) and self.lr0 > 0.0):
             raise ValueError(f"lr0 must be a finite number > 0, got {self.lr0!r}")
+        object.__setattr__(self, "lr0", float(self.lr0))  # so a float32 lr0 runs a float64 schedule
         for name in ("epochs", "batch_size", "global_seed", "repetition_index"):
             _int(getattr(self, name), name)
         if self.epochs < 1 or self.batch_size < 1:

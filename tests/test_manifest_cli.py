@@ -87,6 +87,11 @@ UNAGGREGATABLE = {
     "summary-only": ([], [], 0),
     "record-lacks-val-loss": ([epoch_record(1)], [_NO_VAL_LOSS], 1),
     "second-file-fewer-layers": ([epoch_record(1)], [epoch_record(1, n_layers=1)], 1),
+    "non-numeric-curve-value": ([epoch_record(1)], [dict(epoch_record(1), val_loss="x")], 1),
+    "nan-curve-value": ([epoch_record(1)], [dict(epoch_record(1), val_loss=float("nan"))], 1),
+    "curve-value-past-float": ([epoch_record(1)], [dict(epoch_record(1), val_acc=10**400)], 1),
+    "null-gradient-entry": ([epoch_record(1)], [dict(epoch_record(1), grad_abs_mean=[0.5, None])], 1),
+    "gradient-not-a-list": ([epoch_record(1)], [dict(epoch_record(1), grad_abs_mean=0.5)], 1),
 }
 
 
@@ -152,6 +157,7 @@ class TestManifest:
             ("init_gain", 1.0),
             ("alpha", 0.05),
             ("arch", 784),
+            pytest.param("lr0", 10**400, id="lr0-past-the-largest-float"),
         ],
     )
     def test_bad_field_rejected_at_load(self, tmp_path, field, value):
@@ -186,6 +192,13 @@ class TestManifest:
         summary = json.loads((base / "summary.json").read_text())
         assert summary["repetitions"] == 2
         assert "aggregate" in summary
+
+    def test_numpy_float_lr0_runs_and_is_written(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        m = tiny_manifest(data_dir, out, lr0=np.float32(0.05))
+        assert type(m.lr0) is float
+        assert run_manifest(m) == 0
+        assert json.loads((out / "manifest.json").read_text())["lr0"] == float(np.float32(0.05))
 
     def test_treatment_and_comparison(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -400,6 +413,33 @@ class TestManifest:
         with pytest.raises(ValueError, match=re.escape(str(tmp_path / f"rep_{bad:03d}.jsonl"))):
             plot_export(tmp_path)
         assert not (tmp_path / "curves.csv").exists()
+
+    @pytest.mark.parametrize(
+        "n_runs, curves_digest, gradients_digest",
+        [
+            (9, "fdf9484ec9bb88a08b746136dea55e5b611b1cabb57c88a9306d471af87add26",
+             "4f56d1a7fd5e748e2f49e82bfa026574dceda487bf0e87757035dbcae71ef510"),
+            (100, "d2ca84cd9096edc2cd64a0a1e8b19e3293e62426237823d68a4c768fb8e6578b",
+             "3721bfcb95dc68e2e06eb3faf8a2bc1921fc05c17dbec0b86efafa07950576bf"),
+        ],
+    )
+    def test_plot_export_bytes_beyond_the_golden_population(self, tmp_path, n_runs, curves_digest,
+                                                            gradients_digest):
+        # the golden run has 3 repetitions; numpy's pairwise sums change
+        # their grouping from 8 values on, so pin larger populations too
+        gen = np.random.default_rng(n_runs)
+        for r in range(n_runs):
+            records = [
+                {"type": "epoch", "epoch": e + 1, "train_acc": float(gen.uniform(0, 100)),
+                 "val_acc": float(gen.uniform(0, 100)), "val_loss": float(gen.uniform(0, 3)),
+                 "lr": 0.1, "grad_abs_mean": gen.uniform(0, 1, size=3).tolist()}
+                for e in range(4)
+            ]
+            lines = [json.dumps(rec) for rec in [*records, summary_record(r)]]
+            (tmp_path / f"rep_{r:03d}.jsonl").write_text("\n".join(lines) + "\n")
+        curves, gradients = plot_export(tmp_path)
+        assert hashlib.sha256(curves.read_bytes()).hexdigest() == curves_digest
+        assert hashlib.sha256(gradients.read_bytes()).hexdigest() == gradients_digest
 
     def test_read_run_dir_in_repetition_order(self, tmp_path):
         # sorted by name, rep_1000 came between rep_100 and rep_101
@@ -771,6 +811,16 @@ def _compare_malformed(rep_001):
     return case
 
 
+def _compare_one_run(arm):
+    def case(tmp_path):
+        dirs = {"baseline": write_run_dir(tmp_path / "base"),
+                "treatment": write_run_dir(tmp_path / "treat", 95.0)}
+        dirs[arm] = write_run_dir(tmp_path / "one", n=1)
+        argv = ["compare", "--baseline", dirs["baseline"], "--treatment", dirs["treatment"]]
+        return argv, f"the {arm} arm needs at least 2 runs, got 1"
+    return case
+
+
 _NO_TEST_ACC = {k: v for k, v in summary_record(1).items() if k != "test_acc"}
 
 FILE_FAILURES = {
@@ -794,7 +844,12 @@ FILE_FAILURES = {
     "run-file-metric-is-nan": _compare_malformed(
         json.dumps({**summary_record(1), "test_acc": float("nan")}) + "\n"
     ),
+    "run-file-metric-past-the-largest-float": _compare_malformed(
+        json.dumps({**summary_record(1), "test_acc": 10**400}) + "\n"
+    ),
     "run-label-out-of-range": _run_on_label_out_of_range,
+    "compare-one-run-baseline": _compare_one_run("baseline"),
+    "compare-one-run-treatment": _compare_one_run("treatment"),
 }
 
 

@@ -257,6 +257,15 @@ class TestCompare:
         with pytest.warns(UserWarning, match="population sizes differ"):
             compare(base, treat)
 
+    @pytest.mark.parametrize("arm", ["baseline", "treatment"])
+    def test_one_run_arm_refused_by_name(self, arm):
+        gen = np.random.default_rng(8)
+        pops = {"baseline": _population(gen, 97.0, 0.1, 15.0, n=3),
+                "treatment": _population(gen, 97.3, 0.1, 13.0, n=3)}
+        pops[arm] = pops[arm][:1]
+        with pytest.raises(ValueError, match=f"^the {arm} arm needs at least 2 runs, got 1$"):
+            compare(**pops)
+
     def test_report_renderings(self):
         gen = np.random.default_rng(7)
         base = _population(gen, 97.0, 0.1, 15.0, n=30)

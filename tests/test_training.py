@@ -183,6 +183,10 @@ class TestTrain:
         assert 1 <= metrics.convergence_epoch <= 4
         assert 0.0 <= metrics.test_acc <= 100.0
 
+    def test_numpy_float_lr0_gives_a_float64_schedule(self, toy_splits):
+        metrics = train(toy_config(lr0=np.float32(0.05)), *toy_splits)
+        assert [type(lr) for lr in metrics.lr] == [float] * 4
+
     def test_learning_happens(self, toy_splits):
         metrics = train(toy_config(epochs=8), *toy_splits)
         assert metrics.train_acc[-1] > 50.0
